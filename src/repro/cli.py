@@ -20,6 +20,7 @@ from pathlib import Path
 from .dse import DEFAULT_OBJECTIVES as DSE_DEFAULT_OBJECTIVES
 from .exec import (ParallelRunner, ResultCache, RunFailureError,
                    SweepJournal, default_cache_dir, use_executor)
+from .exec.supervisor import DEFAULT_RETRIES
 from .faults import ChaosPlan
 from .experiments import (contention_ablation, csw_variant_ablation,
                           dsw_arity_sweep, entry_overhead_sweep,
@@ -98,11 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-run wall-clock deadline; a run past it "
-                             "is killed and retried (supervised mode)")
-    common.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="retries for crashed/timed-out runs "
-                             "(default 2 in supervised mode; sim errors "
-                             "are deterministic and never retried)")
+                             "is killed and retried")
+    common.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
+                        metavar="N",
+                        help=f"retries for crashed/timed-out runs "
+                             f"(default {DEFAULT_RETRIES}; sim errors are "
+                             f"deterministic and never retried)")
     common.add_argument("--keep-going", action="store_true",
                         help="on a run failure, continue the sweep and "
                              "report partial results instead of aborting")
@@ -314,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="ITERS",
                       help="successive-halving fidelity rungs, workload "
                            "iterations (default: 3 6 12)")
-    pdse.add_argument("--pools", default=None, metavar="NAME:JOBS,...",
-                      help="named worker pools, e.g. 'fast:8,slow:2' "
-                           "(default: one pool of --jobs workers)")
     pdse.add_argument("--resume", type=Path, default=None,
                       metavar="JOURNAL",
                       help="shorthand for --journal JOURNAL plus a "
@@ -356,28 +355,13 @@ def main(argv: list[str] | None = None) -> int:
         return _run_bench(args)
     if args.command == "dse":
         return _run_dse(args, raw_argv)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
-        return 2
-    cache_dir = args.cache_dir or default_cache_dir()
-    if cache_dir.exists() and not cache_dir.is_dir():
-        print(f"error: --cache-dir {cache_dir} exists and is not a "
-              f"directory", file=sys.stderr)
-        return 2
-    cache = None if args.no_cache else ResultCache(cache_dir)
-    chaos = ChaosPlan.from_env()
-    if chaos is not None and chaos.enabled:
-        print(f"[repro.exec] chaos enabled: {chaos}", file=sys.stderr)
     journal_path = getattr(args, "journal", None)
-    journal = SweepJournal(journal_path, argv=raw_argv) \
-        if journal_path is not None else None
-    executor = ParallelRunner(
-        jobs=jobs, cache=cache,
-        timeout=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", None),
-        keep_going=getattr(args, "keep_going", False),
-        journal=journal, chaos=chaos)
+    executor = _build_executor(args, raw_argv, journal_path,
+                               keep_going=getattr(args, "keep_going",
+                                                  False))
+    if isinstance(executor, int):
+        return executor
+    journal, cache = executor.journal, executor.cache
     interrupted = False
     try:
         with use_executor(executor):
@@ -427,6 +411,32 @@ def main(argv: list[str] | None = None) -> int:
     return rc
 
 
+def _build_executor(args, raw_argv: list[str], journal_path: Path | None,
+                    keep_going: bool) -> ParallelRunner | int:
+    """The executor the ``--jobs``/``--cache-dir``/``--timeout``/
+    ``--retries`` flags, ``$REPRO_CHAOS`` and *journal_path* describe --
+    or exit code 2 after reporting a usage error."""
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if jobs < 1:
+        print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
+        return 2
+    cache_dir = args.cache_dir or default_cache_dir()
+    if cache_dir.exists() and not cache_dir.is_dir():
+        print(f"error: --cache-dir {cache_dir} exists and is not a "
+              f"directory", file=sys.stderr)
+        return 2
+    chaos = ChaosPlan.from_env()
+    if chaos is not None and chaos.enabled:
+        print(f"[repro.exec] chaos enabled: {chaos}", file=sys.stderr)
+    journal = SweepJournal(journal_path, argv=raw_argv) \
+        if journal_path is not None else None
+    return ParallelRunner(
+        jobs=jobs, cache=None if args.no_cache else ResultCache(cache_dir),
+        timeout=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", DEFAULT_RETRIES),
+        keep_going=keep_going, journal=journal, chaos=chaos)
+
+
 def _report_failures(failures) -> None:
     for failure in failures:
         print(f"[repro.exec] FAILED {failure}", file=sys.stderr)
@@ -456,61 +466,30 @@ def _run_resume(args) -> int:
     return main(recorded)
 
 
-def _parse_pools(arg: str):
-    """``'fast:8,slow:2'`` -> worker pools (ValueError on bad syntax)."""
-    from .dse import WorkerPool
-
-    pools = []
-    for part in arg.split(","):
-        name, sep, jobs = part.partition(":")
-        if not sep:
-            raise ValueError(f"pool {part!r} is not NAME:JOBS")
-        pools.append(WorkerPool(name.strip(), int(jobs)))
-    return pools
-
-
 def _run_dse(args, raw_argv: list[str]) -> int:
-    """``repro dse``: Pareto search (or crossover study) with its own
-    scheduler; handled outside the generic executor path because the
+    """``repro dse``: Pareto search (or crossover study) over one
+    executor; handled outside the generic executor path because the
     search owns dispatch.  Always runs keep-going: a design point that
     fails at runtime is an infeasible design, not a fatal error."""
     from .common.errors import ReproError
-    from .dse import (SweepScheduler, front_csv, front_json, run_search,
-                      space_from_arg)
+    from .dse import front_csv, front_json, run_search, space_from_arg
     from .experiments import run_dse_crossover
 
     try:
         space = space_from_arg(args.space)
-        pools = _parse_pools(args.pools) if args.pools else None
-    except (ReproError, ValueError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
-        return 2
-    cache_dir = args.cache_dir or default_cache_dir()
-    if cache_dir.exists() and not cache_dir.is_dir():
-        print(f"error: --cache-dir {cache_dir} exists and is not a "
-              f"directory", file=sys.stderr)
-        return 2
-    cache = None if args.no_cache else ResultCache(cache_dir)
-    chaos = ChaosPlan.from_env()
-    if chaos is not None and chaos.enabled:
-        print(f"[repro.exec] chaos enabled: {chaos}", file=sys.stderr)
     journal_path = args.resume if args.resume is not None \
         else args.journal
+    runner = _build_executor(args, raw_argv, journal_path, keep_going=True)
+    if isinstance(runner, int):
+        return runner
     if args.resume is not None and args.resume.exists():
         done = len(SweepJournal.completed_keys(args.resume))
         print(f"[repro.dse] resuming from {args.resume} "
               f"({done} run(s) already completed)", file=sys.stderr)
-    journal = SweepJournal(journal_path, argv=raw_argv) \
-        if journal_path is not None else None
-    scheduler = SweepScheduler(
-        pools=pools, jobs=None if pools else jobs, cache=cache,
-        journal=journal, timeout=args.timeout,
-        retries=args.retries if args.retries is not None else 2,
-        keep_going=True, chaos=chaos)
+    journal = runner.journal
     rc = 0
     try:
         rungs = tuple(args.rungs) if args.rungs else None
@@ -521,13 +500,13 @@ def _run_dse(args, raw_argv: list[str]) -> int:
             result = run_dse_crossover(
                 budget=args.budget, seed=args.seed,
                 objectives=tuple(args.objectives),
-                scheduler=scheduler, **kwargs)
+                runner=runner, **kwargs)
             _emit(result.table(), args.out, "dse_crossover")
         else:
             kwargs = {"rungs": rungs} if rungs else {}
             search = run_search(
                 space, tuple(args.objectives), budget=args.budget,
-                seed=args.seed, scheduler=scheduler, **kwargs)
+                seed=args.seed, runner=runner, **kwargs)
             _emit(search.table(), args.out, "dse")
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
@@ -552,18 +531,18 @@ def _run_dse(args, raw_argv: list[str]) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if scheduler.failures:
-        _report_failures(scheduler.failures)
-        print(f"[repro.dse] {len(scheduler.failures)} point(s) failed "
+    if runner.failures:
+        _report_failures(runner.failures)
+        print(f"[repro.dse] {len(runner.failures)} point(s) failed "
               f"at runtime and were treated as infeasible",
               file=sys.stderr)
-    if cache is not None:
-        print(f"[repro.dse] {scheduler.summary()}", file=sys.stderr)
+    if runner.cache is not None:
+        print(f"[repro.dse] {runner.summary()}", file=sys.stderr)
     if args.metrics is not None:
         if args.metrics.suffix == ".csv":
-            scheduler.metrics.to_csv(args.metrics)
+            runner.metrics.to_csv(args.metrics)
         else:
-            scheduler.metrics.to_json(args.metrics)
+            runner.metrics.to_json(args.metrics)
         print(f"[repro.obs] metrics snapshot written to {args.metrics}",
               file=sys.stderr)
     return rc

@@ -1,7 +1,7 @@
 """Seeded successive-halving + local-mutation Pareto search.
 
 The loop proposes cohorts of design points, evaluates them through a
-:class:`~repro.dse.scheduler.SweepScheduler` at increasing *fidelity*
+:class:`~repro.exec.ParallelRunner` at increasing *fidelity*
 rungs (workload iterations), truncates each rung to the better half in
 :func:`~repro.dse.pareto.crowded_order`, and keeps every top-rung
 objective vector in an elite pool.  Subsequent cohorts are one-axis
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..common.errors import ReproError
+from ..exec import ParallelRunner
 from .objectives import OBJECTIVES, extract_objectives
 from .pareto import crowded_order, pareto_front
-from .scheduler import SweepScheduler
 from .space import DsePoint, DseSpace
 
 #: Fidelity rungs: workload iterations per successive-halving stage.
@@ -77,7 +77,7 @@ class SearchResult:
     #: Evaluation requests consumed (cache hits included -- see the
     #: module docstring).
     evaluations: int
-    #: Evaluations dropped to scheduler failure (quarantine/sim-error).
+    #: Evaluations dropped to runtime failure (quarantine/sim-error).
     failed: int
     #: Propose-evaluate-promote waves executed.
     rounds: int
@@ -131,12 +131,12 @@ def front_csv(result: SearchResult) -> str:
 def run_search(space: DseSpace,
                objectives: Sequence[str] = DEFAULT_OBJECTIVES,
                budget: int = 32, seed: int = 7,
-               scheduler: SweepScheduler | None = None,
+               runner: ParallelRunner | None = None,
                rungs: Sequence[int] = DEFAULT_RUNGS) -> SearchResult:
     """Map *space*'s Pareto front under *objectives* within *budget*
     evaluation requests.  Deterministic per seed (see module docstring).
 
-    The *scheduler* should run with ``keep_going`` so runtime-infeasible
+    The *runner* should run with ``keep_going`` so runtime-infeasible
     points are dropped instead of aborting the search; the default one
     does.
     """
@@ -154,8 +154,8 @@ def run_search(space: DseSpace,
     if budget < 1:
         raise SearchError(f"budget must be >= 1, got {budget}")
 
-    sched = scheduler if scheduler is not None \
-        else SweepScheduler(jobs=1, keep_going=True)
+    dispatcher = runner if runner is not None \
+        else ParallelRunner(jobs=1, keep_going=True)
     rng = random.Random(seed)
     cohort_k = max(2, budget // (len(rung_list) + 1))
 
@@ -202,7 +202,8 @@ def run_search(space: DseSpace,
                                               tuple[float, ...]]]:
         nonlocal evals_used, failed
         specs = [space.build_spec(p, fidelity) for p in points]
-        results = sched.run(specs)
+        # Under keep_going a failed evaluation's slot is None.
+        results: list[Any] = dispatcher.run(specs)
         evals_used += len(points)
         pairs: list[tuple[DsePoint, tuple[float, ...]]] = []
         for point, spec, result in zip(points, specs, results):

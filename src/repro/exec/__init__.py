@@ -11,11 +11,12 @@ supervises the whole sweep like a job scheduler:
   is exactly ``RunResult.to_dict()``, the same dict the worker IPC ships.
 * :class:`ParallelRunner` -- batch executor (``jobs`` workers) that serves
   hits from the cache and writes back misses as they complete.
-* :class:`~repro.exec.supervisor.Supervisor` (engaged via the runner's
-  ``timeout`` / ``retries`` / ``keep_going`` / ``journal`` / ``chaos``
-  keywords) -- per-spec deadlines, crash/hang detection, bounded retries
-  with full-jitter backoff, quarantine (:class:`RunFailure`), and clean
-  SIGINT draining.
+* :class:`~repro.exec.supervisor.Supervisor` -- the one dispatch loop
+  behind every runner: persistent worker processes, per-spec deadlines,
+  crash/hang detection, bounded retries with full-jitter backoff,
+  quarantine (:class:`RunFailure`), and clean SIGINT draining; the
+  runner's ``timeout`` / ``retries`` / ``keep_going`` / ``journal`` /
+  ``chaos`` keywords set its policy.
 * :class:`SweepJournal` -- JSONL manifest of every hit/attempt/outcome,
   the input to ``repro resume``.
 * :func:`current_executor` / :func:`use_executor` -- the ambient executor

@@ -1,9 +1,10 @@
-"""Parallel experiment executor with cache-aware, supervisable dispatch.
+"""Parallel experiment executor with cache-aware, supervised dispatch.
 
 :class:`ParallelRunner` takes batches of independent :class:`RunSpec`\\ s
 and returns their :class:`~repro.chip.results.RunResult`\\ s, fanning cache
-misses out over ``multiprocessing`` workers.  Three invariants keep it a
-drop-in replacement for the old sequential loops:
+misses out over persistent supervised worker processes
+(:mod:`repro.exec.supervisor`, the one dispatch loop).  Three invariants
+keep it a drop-in replacement for the old sequential loops:
 
 * **Same numbers.**  Simulation is deterministic, so a result is identical
   whether it came from this process, a worker, or the cache.  Every result
@@ -17,19 +18,13 @@ drop-in replacement for the old sequential loops:
   work finished before a batch error is never lost, and the cache needs
   no cross-process locking.
 
-Two dispatch paths share those invariants:
-
-* the **basic** path (default) -- a ``Pool`` of long-lived workers,
-  byte-identical in behavior and output to the pre-supervision executor;
-* the **supervised** path (:mod:`repro.exec.supervisor`) -- engaged by
-  any of ``timeout``, ``retries``, ``keep_going``, ``journal`` or
-  ``chaos`` -- which adds per-spec deadlines, crash/hang detection,
-  bounded retries with backoff, quarantine and resumable journaling.
+Every batch gets the same supervision -- crash/hang detection, bounded
+retries with backoff, quarantine, resumable journaling -- so a worker
+that dies fails its spec instead of hanging the batch.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -38,6 +33,7 @@ from ..chip.results import RunResult
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
 from .spec import RunSpec
+from .supervisor import BACKOFF_BASE_S, DEFAULT_RETRIES, Supervisor
 
 
 def _result_decoder(spec):
@@ -51,8 +47,8 @@ def _result_decoder(spec):
 
 
 def _execute_to_dict(spec: RunSpec) -> dict:
-    """Worker entry point: run one spec, ship the result as a plain dict
-    (the same format the cache stores).
+    """Run one spec (in a worker, or inline) and return the result as a
+    plain dict (the same format the cache stores and the pipe ships).
 
     The ambient executor is forced to a serial, uncached runner for the
     duration: under the ``fork`` start method a worker inherits the
@@ -67,15 +63,13 @@ def _execute_to_dict(spec: RunSpec) -> dict:
 class ParallelRunner:
     """Executes batches of runs over worker processes, consulting a cache.
 
-    The supervision keywords are all opt-in; a runner constructed with
-    none of them behaves exactly like the pre-supervision executor.
+    Pool width (``jobs``) is the only dispatch knob; the keywords below
+    set failure policy, identically for every batch.
 
-    :param timeout: per-spec wall-clock deadline in seconds (supervised).
-    :param retries: bounded retries for crashed/timed-out attempts
-        (supervised; default 2 once supervision is engaged).
+    :param timeout: per-spec wall-clock deadline in seconds.
+    :param retries: bounded retries for crashed/timed-out attempts.
     :param keep_going: return partial results -- failed positions are
-        ``None`` and recorded in :attr:`failures` -- instead of raising
-        :class:`~repro.exec.supervisor.RunFailureError`.
+        ``None`` and recorded in :attr:`failures` -- instead of raising.
     :param journal: a :class:`~repro.exec.journal.SweepJournal` receiving
         hit/attempt/done/quarantine records (enables ``repro resume``).
     :param chaos: a :class:`~repro.faults.ChaosPlan`; workers are
@@ -84,58 +78,46 @@ class ParallelRunner:
     """
 
     def __init__(self, jobs: int | None = None,
-                 cache: ResultCache | None = None,
-                 start_method: str | None = None, *,
+                 cache: ResultCache | None = None, *,
                  timeout: float | None = None,
-                 retries: int | None = None,
+                 retries: int = DEFAULT_RETRIES,
                  keep_going: bool = False,
                  journal=None,
                  chaos=None,
-                 backoff_base: float | None = None):
+                 backoff_base: float = BACKOFF_BASE_S):
         #: Worker-pool width; ``None`` means one worker per CPU.
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         #: ``None`` disables caching entirely.
         self.cache = cache
-        self.start_method = start_method
-        self.timeout = timeout
         self.keep_going = keep_going
         self.journal = journal
-        self.chaos = chaos if (chaos is not None and chaos.enabled) \
-            else None
-        #: Engaged by any supervision knob; never by plain jobs/cache.
-        self.supervised = (timeout is not None or retries is not None
-                           or keep_going or journal is not None
-                           or self.chaos is not None)
-        #: Effective retry budget (crash/timeout only; sim-errors are
-        #: deterministic and never retried).
-        self.retries = retries if retries is not None \
-            else (2 if self.supervised else 0)
-        self.backoff_base = backoff_base
         #: Batch-lifetime counters for the CLI's summary line.
         self.hits = 0
         self.misses = 0
         #: Terminal :class:`~repro.exec.supervisor.RunFailure`\\ s across
         #: this runner's lifetime (only populated under ``keep_going``;
-        #: otherwise they arrive inside :class:`RunFailureError`).
+        #: otherwise they arrive as a raised exception).
         self.failures = []
         #: The same counters as metric streams ("exec.cache.hits" /
-        #: "exec.cache.misses", plus "exec.retries" / "exec.timeouts" /
-        #: "exec.crashes" / "exec.quarantined" when supervised),
-        #: exportable via ``--metrics`` -- not just a throwaway print.
+        #: "exec.cache.misses", plus the supervisor's "exec.attempts",
+        #: "exec.ok", "exec.retries", ...), exportable via ``--metrics``
+        #: -- not just a throwaway print.
         self.metrics = MetricsRegistry()
-        self._supervisor = None
+        self._supervisor = Supervisor(
+            self.jobs, timeout=timeout, retries=retries,
+            keep_going=keep_going, journal=journal, chaos=chaos,
+            metrics=self.metrics, backoff_base=backoff_base, cache=cache)
 
     # ------------------------------------------------------------------ #
     def run(self, specs: Sequence[RunSpec]) -> list[RunResult]:
         """Execute *specs*, returning results in the same order.
 
-        Cache hits are served without simulating; misses run in-process
-        (one miss, or ``jobs == 1``, unsupervised) or across worker
-        processes, then are written back to the cache as each completes.
-        Under ``keep_going`` a failed spec's slot is ``None`` and the
-        failure is appended to :attr:`failures`.
+        Cache hits are served without simulating; misses are dispatched
+        by the supervisor, then written back to the cache as each
+        completes.  Under ``keep_going`` a failed spec's slot is ``None``
+        and the failure is appended to :attr:`failures`.
         """
         results: list[RunResult | None] = [None] * len(specs)
         pending: list[tuple[int, RunSpec, str | None]] = []
@@ -155,70 +137,11 @@ class ParallelRunner:
             pending.append((i, spec, key))
 
         if pending:
-            if self.supervised:
-                self._run_supervised(pending, results)
-            else:
-                self._run_basic(pending, results)
+            self.failures.extend(self._supervisor.dispatch(pending, results))
         return results  # type: ignore[return-value]
 
     def run_one(self, spec: RunSpec) -> RunResult:
         return self.run([spec])[0]
-
-    # ------------------------------------------------------------------ #
-    # Basic path: the pre-supervision pool, made association-preserving.
-    # ------------------------------------------------------------------ #
-    def _store(self, index: int, spec: RunSpec, key: str | None,
-               result_dict: dict, results: list) -> None:
-        if key is not None:
-            self.cache.put(key, spec.fingerprint(), result_dict)
-        results[index] = _result_decoder(spec)(result_dict)
-
-    def _run_basic(self, pending, results: list) -> None:
-        """Unsupervised dispatch.  Each result is cached the moment it
-        lands, so a later spec's exception (raised after the loop, with
-        its original type) no longer forfeits completed work."""
-        first_error: BaseException | None = None
-        if self.jobs > 1 and len(pending) > 1:
-            ctx = multiprocessing.get_context(self.start_method)
-            with ctx.Pool(min(self.jobs, len(pending))) as pool:
-                handles = [(i, spec, key,
-                            pool.apply_async(_execute_to_dict, (spec,)))
-                           for i, spec, key in pending]
-                for i, spec, key, handle in handles:
-                    try:
-                        result_dict = handle.get()
-                    except BaseException as exc:  # noqa: BLE001
-                        if first_error is None:
-                            first_error = exc
-                        continue
-                    self._store(i, spec, key, result_dict, results)
-        else:
-            for i, spec, key in pending:
-                try:
-                    result_dict = _execute_to_dict(spec)
-                except BaseException as exc:  # noqa: BLE001
-                    first_error = exc
-                    break       # serial: nothing later has completed
-                self._store(i, spec, key, result_dict, results)
-        if first_error is not None:
-            raise first_error
-
-    # ------------------------------------------------------------------ #
-    # Supervised path
-    # ------------------------------------------------------------------ #
-    def _run_supervised(self, pending, results: list) -> None:
-        from .supervisor import BACKOFF_BASE_S, Supervisor
-
-        if self._supervisor is None:
-            self._supervisor = Supervisor(
-                self.jobs, timeout=self.timeout, retries=self.retries,
-                keep_going=self.keep_going, journal=self.journal,
-                chaos=self.chaos, metrics=self.metrics,
-                backoff_base=(self.backoff_base
-                              if self.backoff_base is not None
-                              else BACKOFF_BASE_S),
-                cache=self.cache)
-        self.failures.extend(self._supervisor.dispatch(pending, results))
 
     # ------------------------------------------------------------------ #
     def summary(self) -> str:

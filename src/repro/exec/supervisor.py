@@ -1,20 +1,24 @@
-"""Supervised execution: deadlines, retries, quarantine, clean shutdown.
+"""Supervised execution: the one dispatch loop behind ``ParallelRunner``.
 
-The plain pool path in :mod:`repro.exec.parallel` assumes workers are
-well-behaved: they return a result or raise a picklable exception.  Real
-sweeps meet worse -- OOM-killed children, wedged runs, flaky hosts -- and
-a bare pool turns any of those into a lost batch.  This module is the
-job-supervisor answer:
+Every batch of cache misses runs through :meth:`Supervisor.dispatch`.
+Real sweeps meet worse than a raised exception -- OOM-killed children,
+wedged runs, flaky hosts -- and an unsupervised pool turns any of those
+into a lost (or hung) batch.  This module is the job-supervisor answer:
 
-* **One process per attempt.**  Each pending spec runs in its own
-  ``multiprocessing`` ``Process`` with a dedicated pipe, so the parent can
-  observe three distinct terminal states: a message arrived (``ok`` or
-  ``sim-error``), the process died silently (``crash`` -- the exitcode
-  says how), or a wall-clock deadline passed (``timeout`` -- the child is
-  killed).
+* **Persistent supervised workers.**  Up to ``jobs`` long-lived worker
+  processes, each on its own duplex pipe, take one attempt at a time and
+  stay alive after a success or a sim-error.  The parent observes three
+  terminal states per attempt: a message arrived (``ok`` or
+  ``sim-error``), the worker died silently (``crash`` -- the exitcode
+  says how), or a wall-clock deadline passed (``timeout`` -- the worker
+  is killed).  A dead or killed worker is replaced on the next launch.
+* **Inline runs.**  With ``jobs == 1`` or a single miss, and neither a
+  ``timeout`` nor chaos set, specs run in the parent -- there is nothing
+  a worker could catch that the parent would survive -- through the same
+  completion, journal, metrics and ``keep_going`` code.
 * **Deadlines.**  Per-spec, from an explicit ``timeout`` or derived from
   the spec's event budget (`deadline_for`).  No deadline means hangs are
-  tolerated, exactly like the unsupervised path.
+  tolerated.
 * **Bounded retries with full-jitter backoff.**  ``timeout`` and
   ``crash`` failures are environmental and retried up to ``retries``
   times, each after ``uniform(0, base * 2**attempt)`` seconds.
@@ -22,14 +26,24 @@ job-supervisor answer:
   fast -- retrying would reproduce the same exception.
 * **Quarantine.**  A spec that exhausts its retries is quarantined: a
   :class:`RunFailure` of kind ``quarantined`` records the last underlying
-  kind, and -- under ``keep_going`` -- the sweep continues without it.
+  kind.
+* **One error policy.**  Under ``keep_going`` failed slots stay ``None``
+  and the failures are returned.  Otherwise the first terminal failure
+  stops new launches, in-flight work is drained into the cache, and then
+  a sim-error re-raises the worker's original exception while a
+  quarantine raises :class:`RunFailureError`.
 * **Graceful degradation.**  Every crash shrinks the in-flight width by
   one (never below 1), so a host that kills big pools decays toward
   serial execution instead of thrashing.
 * **Clean interrupts.**  On SIGINT the supervisor stops launching,
-  terminates and joins everything in flight (no zombies), journals an
-  ``interrupted`` marker and re-raises -- everything already completed is
-  in the cache and the journal, ready for ``repro resume``.
+  stores results that already landed, terminates and joins every worker
+  (no zombies), journals an ``interrupted`` marker and re-raises --
+  everything completed is in the cache and the journal, ready for
+  ``repro resume``.
+
+Every attempt is accounted in ``exec.*`` metric streams with the
+identity ``exec.attempts == exec.ok + exec.crashes + exec.timeouts +
+exec.sim_errors``.
 
 Chaos (:class:`~repro.faults.chaos.ChaosPlan`) is enacted *inside* the
 worker, before the simulation starts, keyed by the supervisor's stable
@@ -40,20 +54,28 @@ a calm run's.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
 import random
 import signal
 import time
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 
 from ..common.errors import ReproError
 from ..faults.chaos import HANG, KILL, OOM, ChaosPlan
+from ..obs.metrics import MetricsRegistry
 from .spec import RunSpec
 
 #: Failure taxonomy (the ``kind`` field of :class:`RunFailure`).
 TIMEOUT, CRASH, SIM_ERROR, QUARANTINED = \
     "timeout", "crash", "sim-error", "quarantined"
+
+#: Attempt outcome -> the counter that accounts for it.
+_OUTCOME_COUNTERS = {"ok": "exec.ok", CRASH: "exec.crashes",
+                     TIMEOUT: "exec.timeouts", SIM_ERROR: "exec.sim_errors"}
 
 #: Deadline heuristic when only an event budget is known: a generous
 #: floor plus a conservative per-event allowance (the simulator runs
@@ -61,9 +83,12 @@ TIMEOUT, CRASH, SIM_ERROR, QUARANTINED = \
 DEADLINE_FLOOR_S = 10.0
 SECONDS_PER_EVENT = 1e-4
 
-#: Hang-chaos without a deadline would wedge forever; supervised runs
-#: with ``hang_rate > 0`` and no explicit timeout get this one.
+#: Hang-chaos without a deadline would wedge forever; runs with
+#: ``hang_rate > 0`` and no explicit timeout get this one.
 CHAOS_DEFAULT_TIMEOUT_S = 60.0
+
+#: Default retry budget for crashed/timed-out attempts.
+DEFAULT_RETRIES = 2
 
 #: Default base for the full-jitter exponential backoff, seconds.
 BACKOFF_BASE_S = 0.05
@@ -97,6 +122,9 @@ class RunFailure:
     attempts: int
     #: Human-readable cause: exception repr, exitcode, deadline.
     detail: str
+    #: The exception a sim-error raised (re-raised without keep_going).
+    error: BaseException | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __str__(self) -> str:
         where = f"spec[{self.index}]"
@@ -107,8 +135,8 @@ class RunFailure:
 
 
 class RunFailureError(ReproError):
-    """A supervised batch had terminal failures (and ``keep_going`` was
-    off, so partial results were cached but not returned)."""
+    """A batch had terminal crash/timeout failures (and ``keep_going``
+    was off, so partial results were cached but not returned)."""
 
     def __init__(self, failures: list[RunFailure]):
         self.failures = failures
@@ -129,35 +157,50 @@ def _enact_chaos(action: str | None, hang_seconds: float) -> None:
         os.kill(os.getpid(), signal.SIGKILL)   # the OOM killer's signature
     elif action == HANG:
         deadline = time.monotonic() + hang_seconds
-        while time.monotonic() < deadline:     # only SIGKILL ends this
+        while time.monotonic() < deadline:     # only a kill ends this
             time.sleep(min(1.0, hang_seconds))
 
 
-def _supervised_worker(conn, spec: RunSpec, chaos: dict | None,
-                       token: str, attempt: int) -> None:
-    """Process entry point: one attempt at one spec.
-
-    Sends ``("ok", result_dict)`` or ``("sim-error", detail)`` over
-    *conn*; a chaos strike (or a real crash) sends nothing and the parent
-    reads the exitcode instead.
-    """
-    # Nested-parallelism guard: whatever ambient executor the parent had
-    # installed (inherited wholesale under the fork start method), this
-    # process must never fork its own pool or write the parent's cache.
-    from .parallel import ParallelRunner, use_executor
-
-    if chaos is not None:
-        plan = ChaosPlan.from_dict(chaos)
-        _enact_chaos(plan.roll(token, attempt), plan.hang_seconds)
+def _portable(exc: Exception) -> Exception:
+    """*exc* if it survives the pipe, else a :class:`ReproError` naming
+    it (an exception whose pickle cannot be rebuilt would otherwise
+    surface in the parent as a crash)."""
     try:
-        with use_executor(ParallelRunner(jobs=1, cache=None)):
-            result = spec.execute().to_dict()
-    except Exception as exc:            # noqa: BLE001 -- shipped, not hidden
-        conn.send((SIM_ERROR, f"{type(exc).__name__}: {exc}"))
-    else:
-        conn.send(("ok", result))
-    finally:
-        conn.close()
+        pickle.loads(pickle.dumps(exc))
+    except Exception:                   # noqa: BLE001 -- any pickle failure
+        return ReproError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _worker_main(conn, parent_pid: int) -> None:
+    """Worker process entry point: run attempts until told to stop.
+
+    Receives ``(spec, chaos, token, attempt)`` tuples and answers each
+    with ``("ok", result_dict)`` or ``("sim-error", exception)``.  A
+    chaos strike (or a real crash) sends nothing; the parent reads the
+    exitcode instead.  The parent terminates the worker when the batch
+    is done.
+    """
+    from .parallel import _execute_to_dict
+
+    # The parent owns interrupts: it drains and terminates its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        # An orphaned worker (parent killed) would otherwise block on
+        # recv forever: copies of the parent's end of this pipe live on
+        # in this process and in siblings forked later, so no EOF comes.
+        while not conn.poll(1.0):
+            if os.getppid() != parent_pid:
+                return
+        spec, chaos, token, attempt = conn.recv()
+        if chaos is not None:
+            plan = ChaosPlan.from_dict(chaos)
+            _enact_chaos(plan.roll(token, attempt), plan.hang_seconds)
+        try:
+            reply = ("ok", _execute_to_dict(spec))
+        except Exception as exc:        # noqa: BLE001 -- shipped, not hidden
+            reply = (SIM_ERROR, _portable(exc))
+        conn.send(reply)
 
 
 # ---------------------------------------------------------------------- #
@@ -175,21 +218,41 @@ class _Task:
     ready_at: float = 0.0       # monotonic time the next attempt may start
 
 
-class _InFlight:
-    """A launched attempt: process + pipe + deadline."""
+#: Attempts sent to one worker at a time: the running one plus one
+#: queued in its pipe, so the worker starts its next spec without
+#: waiting for the parent to store the last result.
+WORKER_DEPTH = 2
 
-    def __init__(self, task: _Task, process, conn,
-                 deadline: float | None):
-        self.task = task
-        self.process = process
-        self.conn = conn
+
+class _Worker:
+    """A persistent worker process, its pipe, and the attempts sent to
+    it -- the running one first."""
+
+    def __init__(self, ctx):
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(target=_worker_main,
+                                   args=(child, os.getpid()), daemon=True)
+        self.process.start()
+        child.close()
+        self.tasks: list[_Task] = []
+        self.started = 0.0
+        self.deadline: float | None = None
+
+    def send(self, task: _Task, chaos: dict | None) -> None:
+        self.tasks.append(task)
+        # A worker that died idle surfaces as a crash on the next reap.
+        with suppress(OSError):
+            self.conn.send((task.spec, chaos, task.token, task.attempt))
+
+    def start(self, timeout: float | None) -> None:
+        """The first sent attempt starts running now."""
         self.started = time.monotonic()
-        self.deadline = None if deadline is None \
-            else self.started + deadline
+        budget = deadline_for(self.tasks[0].spec, timeout)
+        self.deadline = None if budget is None else self.started + budget
 
 
 class Supervisor:
-    """Runs a batch of pending specs under full supervision.
+    """Runs batches of pending specs under full supervision.
 
     The constructor captures policy; :meth:`dispatch` executes one batch,
     caching and journaling as results land, and returns the list of
@@ -197,9 +260,10 @@ class Supervisor:
     """
 
     def __init__(self, jobs: int, *, timeout: float | None = None,
-                 retries: int = 2, keep_going: bool = False,
+                 retries: int = DEFAULT_RETRIES, keep_going: bool = False,
                  journal=None, chaos: ChaosPlan | None = None,
-                 metrics=None, backoff_base: float = BACKOFF_BASE_S,
+                 metrics: MetricsRegistry,
+                 backoff_base: float = BACKOFF_BASE_S,
                  cache=None):
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
@@ -226,48 +290,92 @@ class Supervisor:
 
     # ------------------------------------------------------------------ #
     def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
+        self.metrics.counter(name).inc()
 
-    def _ctx(self):
-        import multiprocessing
-        return multiprocessing.get_context()
+    def _set_width(self, width: int) -> None:
+        self.metrics.gauge("exec.pool.width").set(width)
 
     # ------------------------------------------------------------------ #
     def dispatch(self, pending, results: list) -> list[RunFailure]:
-        """Run *pending* -- ``(index, spec, key)`` triples -- under
-        supervision, filling ``results[index]`` and caching each success.
+        """Run *pending* -- ``(index, spec, key)`` triples -- filling
+        ``results[index]`` and caching each success as it lands.
 
-        Returns terminal failures; raises :class:`RunFailureError` for
-        them instead when ``keep_going`` is off (after draining, caching
-        and journaling everything else in flight).
+        Returns terminal failures under ``keep_going``; otherwise raises
+        for them (see the module docstring) after draining, caching and
+        journaling everything else in flight.
         """
-        ctx = self._ctx()
         queue: list[_Task] = []
         for index, spec, key in pending:
             queue.append(_Task(index=index, spec=spec, key=key,
                                token=str(self._ordinal)))
             self._ordinal += 1
-        width = min(self.jobs, len(queue))
-        if self.metrics is not None:
-            self.metrics.gauge("exec.pool.width").set(width)
-        inflight: list[_InFlight] = []
         failures: list[RunFailure] = []
-        aborting = False        # a failure occurred and keep_going is off
-
         try:
-            while queue or inflight:
+            if self.timeout is None and self.chaos is None \
+                    and (self.jobs == 1 or len(queue) == 1):
+                self._run_inline(queue, results, failures)
+            else:
+                self._run_workers(queue, results, failures)
+        except KeyboardInterrupt:
+            if self.journal is not None:
+                self.journal.interrupted()
+            raise
+        if failures and not self.keep_going:
+            first = failures[0]
+            if first.error is not None:
+                raise first.error
+            raise RunFailureError(failures)
+        return failures
+
+    def _aborting(self, failures: list[RunFailure]) -> bool:
+        return bool(failures) and not self.keep_going
+
+    def _run_inline(self, queue: list[_Task], results: list,
+                    failures: list[RunFailure]) -> None:
+        from .parallel import _execute_to_dict
+
+        self._set_width(1)
+        for task in queue:
+            if self._aborting(failures):
+                break           # serial: nothing later has started
+            self._count("exec.attempts")
+            try:
+                outcome = ("ok", _execute_to_dict(task.spec))
+            except Exception as exc:    # noqa: BLE001 -- settled below
+                outcome = (SIM_ERROR, exc)
+            self._settle(task, *outcome, results, failures)
+
+    def _run_workers(self, queue: list[_Task], results: list,
+                     failures: list[RunFailure]) -> None:
+        ctx = multiprocessing.get_context()
+        chaos = self.chaos.to_dict() if self.chaos is not None else None
+        width = min(self.jobs, len(queue))
+        self._set_width(width)
+        workers: list[_Worker] = []
+        landed: list[tuple[_Task, dict]] = []
+        try:
+            while True:
                 # Launch while there is width and ready work (when
                 # aborting we only drain what is already in flight).
                 now = time.monotonic()
-                if not aborting:
-                    ready = [t for t in queue if t.ready_at <= now]
-                    while ready and len(inflight) < width:
-                        task = ready.pop(0)
+                if not self._aborting(failures):
+                    for task in [t for t in queue if t.ready_at <= now]:
+                        worker = self._slot(ctx, workers, width)
+                        if worker is None:
+                            break
                         queue.remove(task)
-                        inflight.append(self._launch(ctx, task))
-                if not inflight:
-                    if aborting:
+                        worker.send(task, chaos)
+                        if len(worker.tasks) == 1:
+                            self._start(worker)
+                # Store landed results only now, so workers are already
+                # busy with their next attempt while the parent caches.
+                for task, result_dict in landed:
+                    self._settle(task, "ok", result_dict, results,
+                                 failures)
+                landed.clear()
+                busy = [w for w in workers if w.tasks]
+                if not busy:
+                    if not queue or self._aborting(failures):
                         break
                     # Everything pending is backing off; sleep to the
                     # soonest ready time.
@@ -275,104 +383,94 @@ class Supervisor:
                     time.sleep(max(0.0, soonest - now))
                     continue
 
-                self._await(inflight)
-                for flight in list(inflight):
-                    outcome = self._reap(flight)
+                self._await(busy)
+                for worker in busy:
+                    outcome = self._reap(worker)
                     if outcome is None:
                         continue            # still running
-                    inflight.remove(flight)
+                    task = worker.tasks.pop(0)
                     kind, payload = outcome
-                    task = flight.task
+                    if kind in ("ok", SIM_ERROR):
+                        if worker.tasks:
+                            self._start(worker)
+                    else:                   # the worker is gone
+                        workers.remove(worker)
+                        worker.conn.close()
+                        # Sent but never started: not an attempt.
+                        queue[:0] = worker.tasks
                     if kind == "ok":
-                        self._complete(task, payload, results)
+                        landed.append((task, payload))
                         continue
-                    if self.journal is not None:
-                        self.journal.attempt(task.key or task.token,
-                                             task.attempt, kind,
-                                             detail=payload)
                     if kind == CRASH:
                         width = max(1, width - 1)
-                        if self.metrics is not None:
-                            self.metrics.gauge("exec.pool.width") \
-                                .set(width)
-                    if kind != SIM_ERROR and task.attempt < self.retries:
-                        self._schedule_retry(task)
+                        self._set_width(width)
+                    if self._settle(task, kind, payload, results,
+                                    failures):
                         queue.append(task)
-                        continue
-                    failure = self._fail(task, kind, payload)
-                    failures.append(failure)
-                    if not self.keep_going:
-                        aborting = True
         except KeyboardInterrupt:
-            self._terminate_all(inflight)
-            if self.journal is not None:
-                self.journal.interrupted()
+            # Results that already landed are real; keep them.
+            for task, result_dict in landed:
+                self._store(task, result_dict)
+            self._drain(workers)
             raise
-        if failures and not self.keep_going:
-            raise RunFailureError(failures)
-        return failures
+        finally:
+            self._stop(workers)
+
+    def _slot(self, ctx, workers: list[_Worker],
+              width: int) -> _Worker | None:
+        """The worker to send the next attempt to: an idle one, else a
+        new one while below *width*, else one with room in its pipe."""
+        for worker in workers:
+            if not worker.tasks:
+                return worker
+        if len(workers) < width:
+            workers.append(_Worker(ctx))
+            return workers[-1]
+        return next((w for w in workers if len(w.tasks) < WORKER_DEPTH),
+                    None)
+
+    def _start(self, worker: _Worker) -> None:
+        self._count("exec.attempts")
+        worker.start(self.timeout)
 
     # ------------------------------------------------------------------ #
-    def _launch(self, ctx, task: _Task) -> _InFlight:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        chaos = self.chaos.to_dict() if self.chaos is not None else None
-        process = ctx.Process(
-            target=_supervised_worker,
-            args=(child_conn, task.spec, chaos, task.token, task.attempt),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        return _InFlight(task, process, parent_conn,
-                         deadline_for(task.spec, self.timeout))
-
-    def _await(self, inflight: list[_InFlight]) -> None:
-        """Block until a result lands, a process dies, or the nearest
+    @staticmethod
+    def _await(busy: list[_Worker]) -> None:
+        """Block until a result lands, a worker dies, or the nearest
         deadline (or a short poll tick) expires."""
         now = time.monotonic()
         waits = [0.1]
-        for flight in inflight:
-            if flight.deadline is not None:
-                waits.append(flight.deadline - now)
-        timeout = max(0.0, min(waits))
-        handles = [f.conn for f in inflight] + \
-            [f.process.sentinel for f in inflight]
-        _conn_wait(handles, timeout)
+        for worker in busy:
+            if worker.deadline is not None:
+                waits.append(worker.deadline - now)
+        handles = [w.conn for w in busy] + [w.process.sentinel for w in busy]
+        _conn_wait(handles, max(0.0, min(waits)))
 
-    def _reap(self, flight: _InFlight):
-        """Terminal state of *flight*, or None if it is still running.
-
-        Returns ``("ok", result_dict)`` or ``(failure_kind, detail)``.
+    def _reap(self, worker: _Worker):
+        """Terminal state of *worker*'s attempt, or None if it is still
+        running.  Returns ``("ok", result_dict)`` or ``(kind, payload)``.
         """
-        # Sample liveness BEFORE polling the pipe: a worker's last acts
-        # are send-then-exit, so a death observed here guarantees any
-        # result it produced is already visible to poll() below.  The
-        # opposite order has a race -- an exit between poll() and
-        # is_alive() would misread a completed run as a crash.
-        alive = flight.process.is_alive()
-        if flight.conn.poll():
+        # Sample liveness BEFORE polling the pipe: a worker that answered
+        # and then died (it cannot, idle, but an external kill can) must
+        # not have its answer misread as a crash.
+        alive = worker.process.is_alive()
+        if worker.conn.poll():
             try:
-                kind, payload = flight.conn.recv()
+                return worker.conn.recv()
             except (EOFError, OSError):
-                return self._crash_outcome(flight)
-            flight.process.join()
-            flight.conn.close()
-            return (kind, payload)
+                return self._crash_outcome(worker)
         if not alive:
-            flight.process.join()
-            return self._crash_outcome(flight)
-        if flight.deadline is not None \
-                and time.monotonic() >= flight.deadline:
-            self._kill(flight.process)
-            flight.conn.close()
-            elapsed = time.monotonic() - flight.started
-            self._count("exec.timeouts")
+            return self._crash_outcome(worker)
+        if worker.deadline is not None \
+                and time.monotonic() >= worker.deadline:
+            self._kill(worker.process)
+            elapsed = time.monotonic() - worker.started
             return (TIMEOUT, f"deadline {elapsed:.1f}s exceeded")
         return None
 
-    def _crash_outcome(self, flight: _InFlight):
-        flight.conn.close()
-        self._count("exec.crashes")
-        code = flight.process.exitcode
+    def _crash_outcome(self, worker: _Worker):
+        self._kill(worker.process)      # reaps it; a no-op if it is dead
+        code = worker.process.exitcode
         how = f"signal {-code}" if (code is not None and code < 0) \
             else f"exitcode {code}"
         return (CRASH, f"worker died ({how})")
@@ -385,40 +483,58 @@ class Supervisor:
             process.kill()
             process.join()
 
-    def _terminate_all(self, inflight: list[_InFlight]) -> None:
-        for flight in inflight:
-            # Drain finished workers -- their results are real -- and
-            # kill the rest so nothing is leaked.
-            if flight.conn.poll():
-                try:
-                    kind, payload = flight.conn.recv()
-                    if kind == "ok":
-                        self._store(flight.task, payload)
-                        if self.journal is not None:
-                            self.journal.done(
-                                flight.task.key or flight.task.token,
-                                flight.task.attempt + 1)
-                except (EOFError, OSError):
-                    pass
-            self._kill(flight.process)
-            flight.conn.close()
-        inflight.clear()
+    def _drain(self, workers: list[_Worker]) -> None:
+        """On interrupt: store answers that already arrived."""
+        for worker in workers:
+            if not worker.tasks or not worker.conn.poll():
+                continue
+            task = worker.tasks[0]
+            with suppress(EOFError, OSError):
+                kind, payload = worker.conn.recv()
+                if kind == "ok":
+                    self._store(task, payload)
+                    if self.journal is not None:
+                        self.journal.done(task.key or task.token,
+                                          task.attempt + 1)
+
+    def _stop(self, workers: list[_Worker]) -> None:
+        """Terminate and join every worker: they hold nothing but their
+        pipe (results and the cache live in the parent)."""
+        for worker in workers:
+            self._kill(worker.process)
+            worker.conn.close()
+        workers.clear()
 
     # ------------------------------------------------------------------ #
+    def _settle(self, task: _Task, kind: str, payload, results: list,
+                failures: list[RunFailure]) -> bool:
+        """Account one finished attempt; True when it must be retried."""
+        self._count(_OUTCOME_COUNTERS[kind])
+        if kind == "ok":
+            self._store(task, payload)
+            from .parallel import _result_decoder
+
+            results[task.index] = _result_decoder(task.spec)(payload)
+            if self.journal is not None:
+                self.journal.attempt(task.key or task.token, task.attempt,
+                                     "ok")
+                self.journal.done(task.key or task.token, task.attempt + 1)
+            return False
+        error = payload if kind == SIM_ERROR else None
+        detail = f"{type(error).__name__}: {error}" \
+            if error is not None else payload
+        if self.journal is not None:
+            self.journal.attempt(task.key or task.token, task.attempt,
+                                 kind, detail=detail)
+        if kind != SIM_ERROR and task.attempt < self.retries:
+            self._schedule_retry(task)
+            return True
+        failures.append(self._fail(task, kind, detail, error))
+        return False
+
     def _store(self, task: _Task, result_dict: dict) -> None:
         if self.cache is not None and task.key is not None:
             self.cache.put(task.key, task.spec.fingerprint(), result_dict)
-
-    def _complete(self, task: _Task, result_dict: dict,
-                  results: list) -> None:
-        from .parallel import _result_decoder
-
-        self._store(task, result_dict)
-        results[task.index] = _result_decoder(task.spec)(result_dict)
-        if self.journal is not None:
-            self.journal.attempt(task.key or task.token, task.attempt,
-                                 "ok")
-            self.journal.done(task.key or task.token, task.attempt + 1)
 
     def _schedule_retry(self, task: _Task) -> None:
         delay = self._rng.uniform(
@@ -427,17 +543,16 @@ class Supervisor:
         task.attempt += 1
         task.ready_at = time.monotonic() + delay
         self._count("exec.retries")
-        if self.metrics is not None:
-            self.metrics.histogram("exec.retry.delay_ms") \
-                .record(int(delay * 1000))
+        self.metrics.histogram("exec.retry.delay_ms") \
+            .record(int(delay * 1000))
 
-    def _fail(self, task: _Task, kind: str, detail: str) -> RunFailure:
+    def _fail(self, task: _Task, kind: str, detail: str,
+              error: BaseException | None) -> RunFailure:
         attempts = task.attempt + 1
         if kind == SIM_ERROR:
-            self._count("exec.sim_errors")
             failure = RunFailure(index=task.index, key=task.key,
                                  kind=SIM_ERROR, attempts=attempts,
-                                 detail=detail)
+                                 detail=detail, error=error)
         else:
             # Retries exhausted: the spec is poison; quarantine it.
             self._count("exec.quarantined")

@@ -10,7 +10,7 @@ backend -- and the headline compares the best G-line point against the
 best all-software point on the same front, pricing the speedup in
 dedicated wires.
 
-Searches share one scheduler (and therefore one cache/journal/chaos
+Searches share one runner (and therefore one cache/journal/chaos
 policy), so a crossover study resumes and warm-reruns exactly like a
 plain ``repro dse`` invocation.
 """
@@ -18,10 +18,10 @@ plain ``repro dse`` invocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..common.params import mesh_dims
-from ..dse.scheduler import SweepScheduler
+from ..exec import ParallelRunner
 from ..dse.search import DEFAULT_OBJECTIVES, SearchResult, run_search
 from ..dse.space import Axis, DseSpace
 
@@ -87,15 +87,15 @@ def run_dse_crossover(core_counts: Sequence[int] = (64, 256),
                       budget: int = 20, seed: int = 7,
                       objectives: Sequence[str] = DEFAULT_OBJECTIVES,
                       rungs: Sequence[int] = CROSSOVER_RUNGS,
-                      scheduler: SweepScheduler | None = None,
+                      runner: ParallelRunner | None = None,
                       ) -> DseCrossoverResult:
     """Run the per-mesh searches (8x8 and 16x16 by default)."""
-    sched: Any = scheduler if scheduler is not None \
-        else SweepScheduler(jobs=1, keep_going=True)
+    if runner is None:
+        runner = ParallelRunner(jobs=1, keep_going=True)
     result = DseCrossoverResult(core_counts=tuple(core_counts),
                                 budget=budget, seed=seed)
     for num_cores in result.core_counts:
         result.fronts[num_cores] = run_search(
             crossover_space(num_cores), objectives, budget=budget,
-            seed=seed, scheduler=sched, rungs=rungs)
+            seed=seed, runner=runner, rungs=rungs)
     return result

@@ -14,8 +14,9 @@ dispatch ordinal.  The same seed therefore strikes the same runs on every
 machine and every commit, which is what lets CI pin "worker N dies, the
 retry succeeds, the figure still matches the golden numbers".
 
-Chaos is opt-in twice over: the plan defaults to all-zero rates, and the
-executor only consults it in supervised mode.  The ``REPRO_CHAOS``
+Chaos is opt-in twice over: the plan defaults to all-zero rates, and an
+enabled plan is the only thing besides a timeout that moves a serial
+batch off the inline path into a worker.  The ``REPRO_CHAOS``
 environment variable (``"seed=3,kill=0.25,hang=0.1,oom=0.05"``) is the
 CLI/CI entry point.
 """

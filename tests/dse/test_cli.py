@@ -72,8 +72,9 @@ def test_dse_metrics_snapshot(tmp_path, capsys):
                                   "--metrics", str(metrics)], capsys)
     assert rc == 0
     snapshot = json.loads(metrics.read_text())
-    assert snapshot["counters"]["dse.attempts"] == 6
-    assert snapshot["counters"]["dse.ok"] == 6
+    assert snapshot["counters"]["exec.attempts"] == 6
+    assert snapshot["counters"]["exec.ok"] == 6
+    assert not any(name.startswith("dse.") for name in snapshot["counters"])
 
 
 def test_dse_rejects_unknown_space_and_objectives(tmp_path, capsys):
@@ -85,17 +86,6 @@ def test_dse_rejects_unknown_space_and_objectives(tmp_path, capsys):
                                     "--objectives", "bogus"], capsys)
     assert rc == 2
     assert "bogus" in err
-
-
-def test_dse_pools_flag(tmp_path, capsys):
-    rc, _, err = _run(
-        SMOKE_ARGS[:-2] + ["--pools", "fast:2,slow:1",
-                           "--cache-dir", str(tmp_path)], capsys)
-    assert rc == 0
-    assert "pools=fast:2+slow:1" in err
-    rc, _, err = _run(["dse", "--pools", "broken",
-                       "--cache-dir", str(tmp_path)], capsys)
-    assert rc == 2
 
 
 def test_dse_crossover_small(tmp_path, capsys):

@@ -5,19 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.dse import (SPACES, Axis, DseSpace, SearchError,
-                       SweepScheduler, front_csv, front_json,
-                       pareto_front, run_search)
-from repro.exec import ResultCache
+from repro.dse import (SPACES, Axis, DseSpace, SearchError, front_csv,
+                       front_json, pareto_front, run_search)
+from repro.exec import ParallelRunner, ResultCache
 
 SMOKE = SPACES["smoke"]
 
 
-def _search(scheduler=None, **kwargs):
+def _search(runner=None, **kwargs):
     kwargs.setdefault("budget", 8)
     kwargs.setdefault("seed", 3)
     kwargs.setdefault("rungs", (1, 2))
-    return run_search(SMOKE, scheduler=scheduler, **kwargs)
+    return run_search(SMOKE, runner=runner, **kwargs)
 
 
 def test_search_is_deterministic_per_seed():
@@ -44,14 +43,14 @@ def test_front_points_are_mutually_nondominated():
 
 
 def test_warm_rerun_is_identical_with_zero_simulation(tmp_path):
-    cold_sched = SweepScheduler(jobs=2, cache=ResultCache(tmp_path),
-                                keep_going=True)
-    cold = _search(scheduler=cold_sched)
-    warm_sched = SweepScheduler(jobs=2, cache=ResultCache(tmp_path),
-                                keep_going=True)
-    warm = _search(scheduler=warm_sched)
+    cold_runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path),
+                                 keep_going=True)
+    cold = _search(runner=cold_runner)
+    warm_runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path),
+                                 keep_going=True)
+    warm = _search(runner=warm_runner)
     assert front_json(cold) == front_json(warm)
-    assert warm_sched.misses == 0
+    assert warm_runner.misses == 0
     assert warm.evaluations == cold.evaluations
 
 

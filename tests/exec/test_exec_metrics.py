@@ -23,7 +23,8 @@ def test_runner_publishes_hit_miss_counters(tmp_path):
 def test_uncached_runner_counts_only_misses():
     runner = ParallelRunner(jobs=1, cache=None)
     runner.run([spec()])
-    assert runner.metrics.to_dict()["counters"] == {"exec.cache.misses": 1}
+    assert runner.metrics.to_dict()["counters"] == {
+        "exec.cache.misses": 1, "exec.attempts": 1, "exec.ok": 1}
 
 
 def test_cached_result_has_no_metrics_payload(tmp_path):
