@@ -20,7 +20,7 @@ def link_stats(network: Network) -> list[tuple[str, int, float]]:
     rows = []
     for (src, dst), link in network.links.items():
         rows.append((f"{src}->{dst}", link.flits_carried,
-                     link.busy_cycles / now))
+                     link.flits_carried / now))
     rows.sort(key=lambda r: r[1], reverse=True)
     return rows
 

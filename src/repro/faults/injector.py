@@ -144,7 +144,7 @@ class FaultInjector:
         return False
 
     # ------------------------------------------------------------------ #
-    # NoC faults (called by Network.send per injected message)
+    # NoC faults (called by the network per injected message)
     # ------------------------------------------------------------------ #
     def noc_outcome(self) -> str | None:
         """``"dropped"``, ``"corrupted"`` or ``None`` for this message."""

@@ -5,6 +5,10 @@ serialization (``flits`` cycles on the link, subject to the link being free)
 plus wire propagation.  Same-tile transfers (an L1 talking to its own L2
 bank) bypass the network entirely and are not counted as network traffic,
 matching how the paper attributes messages.
+
+XY routes are fixed, so each (src, dst) pair's route -- the links it
+crosses and the routers it touches -- is built once, on first use, and
+every later message between the pair reuses it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from .packet import Message
 from .router import Router
 from .topology import Mesh2D
 
+#: One (src, dst) route: its links in path order, then its source,
+#: destination and intermediate routers.
+_Route = tuple[tuple[Link, ...], Router, Router, tuple[Router, ...]]
+
 
 def fault_defer(net, msg: Message) -> bool:
     """Shared injection-side fault gate for both network models.
@@ -31,12 +39,15 @@ def fault_defer(net, msg: Message) -> bool:
     guarantee on the fault-free network), so a retransmission must not
     let younger packets overtake: the channel blocks head-of-line until
     the retry goes through, exactly like a link-level retransmission
-    buffer.  *net* needs ``injector``, ``_channel_clear``,
-    ``zero_load_latency`` and the Component scheduling interface.
+    buffer.  A retry re-enters at ``net._inject``, not ``net.send``, so
+    the message keeps its first ``send_time`` and its latency includes
+    the retransmission and the wait.  *net* needs ``injector``,
+    ``_channel_clear``, ``_inject``, ``zero_load_latency`` and the
+    Component scheduling interface.
     """
     clear = net._channel_clear.get((msg.src, msg.dst), 0)
     if net.now < clear:
-        net.engine.schedule_at(clear, net.send, msg)
+        net.engine.schedule_at(clear, net._inject, msg)
         return True
     outcome = net.injector.noc_outcome()
     if outcome is None:
@@ -51,7 +62,7 @@ def fault_defer(net, msg: Message) -> bool:
     if outcome == "corrupted":
         penalty += net.zero_load_latency(msg.src, msg.dst, msg.size_bytes)
     net._channel_clear[(msg.src, msg.dst)] = net.now + penalty
-    net.schedule(penalty, net.send, msg)
+    net.schedule(penalty, net._inject, msg)
     return True
 
 
@@ -74,6 +85,12 @@ class Network(Component):
         for t in range(self.mesh.num_tiles):
             for n in self.mesh.neighbors(t):
                 self.links[(t, n)] = Link(t, n)
+        #: Route per (src, dst) pair, built by :meth:`_route` on first use.
+        self._routes: dict[tuple[int, int], _Route] = {}
+        self._contention = config.model_contention
+        #: From a message's tail leaving a link to the message competing
+        #: for the next one: wire propagation, then the next router.
+        self._hop_latency = config.link_latency + config.router_latency
 
     # ------------------------------------------------------------------ #
     def send(self, msg: Message) -> None:
@@ -85,46 +102,75 @@ class Network(Component):
             self.stats.bump("noc.local_deliveries")
             self.schedule(self.config.router_latency, self._deliver, msg)
             return
+        self._inject(msg)
 
+    def _inject(self, msg: Message) -> None:
+        """Put *msg* on the mesh unless a fault holds it back; a held
+        message re-enters here later."""
         if self.injector is not None and fault_defer(self, msg):
             return
-
-        path = self.mesh.route(msg.src, msg.dst)
-        msg.hops = len(path) - 1
+        key = (msg.src, msg.dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(msg.src, msg.dst)
+        links, source, dest, between = route
+        hops = msg.hops = len(links)
         flits = self.config.flits(msg.size_bytes)
-        self.stats.add_message(msg.category, flits, msg.hops)
-        self.routers[msg.src].injected += 1
-        self.routers[msg.dst].ejected += 1
-        for mid in path[1:-1]:
-            self.routers[mid].forwarded += 1
+        self.stats.add_message(msg.category, flits, hops)
+        source.injected += 1
+        dest.ejected += 1
+        for router in between:
+            router.forwarded += 1
         if self.tracer.enabled:
             self.tracer.emit(self.now, self.name, obs_ev.NOC_SEND,
                              src=msg.src, dst=msg.dst, msg_kind=msg.kind,
-                             flits=flits, hops=msg.hops)
+                             flits=flits, hops=hops)
         # Injection: pay the source router pipeline, then start hopping.
-        self.schedule(self.config.router_latency, self._hop, msg, path, 0,
-                      flits)
+        self.engine.schedule(self.config.router_latency, self._hop, msg,
+                             links, 0, flits)
+
+    def _route(self, src: int, dst: int) -> _Route:
+        """The XY route from *src* to *dst*.  ``Mesh2D.route`` checks
+        that both tiles exist."""
+        path = self.mesh.route(src, dst)
+        routers = self.routers
+        return (tuple(self.links[pair] for pair in zip(path, path[1:])),
+                routers[src], routers[dst],
+                tuple(routers[t] for t in path[1:-1]))
 
     # ------------------------------------------------------------------ #
-    def _hop(self, msg: Message, path: list[int], index: int,
+    def _hop(self, msg: Message, links: tuple[Link, ...], index: int,
              flits: int) -> None:
-        """Traverse the link from path[index] to path[index+1]."""
-        here, nxt = path[index], path[index + 1]
-        link = self.links[(here, nxt)]
-        serialized_end = link.occupy(self.now, flits,
-                                     self.config.model_contention)
+        """Serialize *msg* onto ``links[index]``, then schedule the next
+        hop, or the delivery after the last one.
+
+        Each hop is its own event, run when the message reaches the link,
+        because a link is reserved in the order messages reach it: a
+        message sent later can reach a shared link earlier, and it must
+        reserve the link first.  Reserving a whole path at send time
+        would get that order wrong.
+        """
+        engine = self.engine
+        now = engine.now
+        link = links[index]
+        # With contention a link carries one message at a time, so wait
+        # for the previous tail to leave; without, it is infinitely wide.
+        start = now
+        if self._contention:
+            if link.next_free > now:
+                start = link.next_free
+            link.next_free = start + flits
+        link.flits_carried += flits
         if self.metrics is not None:
             # Queueing delay only: serialization and wire time excluded.
-            self.metrics.histogram("noc.link_wait").record(
-                max(0, serialized_end - self.now - flits))
-        arrival = serialized_end + self.config.link_latency
-        if index + 2 == len(path):
+            self.metrics.histogram("noc.link_wait").record(start - now)
+        at = start + flits + self._hop_latency
+        index += 1
+        if index == len(links):
             # Last hop: eject through the destination router.
-            self.engine.schedule_at(arrival + self.config.router_latency,
-                                    self._deliver, msg)
+            engine.schedule_at(at, self._deliver, msg)
         else:
-            self.engine.schedule_at(arrival + self.config.router_latency,
-                                    self._hop, msg, path, index + 1, flits)
+            engine.schedule_at(at, self._hop, msg, links, index, flits)
 
     def _deliver(self, msg: Message) -> None:
         msg.arrive_time = self.now
@@ -151,5 +197,5 @@ class Network(Component):
         """Busy fraction per link over the elapsed simulation time."""
         if self.now == 0:
             return {key: 0.0 for key in self.links}
-        return {key: link.busy_cycles / self.now
+        return {key: link.flits_carried / self.now
                 for key, link in self.links.items()}

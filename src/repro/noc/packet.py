@@ -11,7 +11,7 @@ from ..common.stats import MsgCat
 _msg_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message travelling on the main data network.
 
@@ -28,7 +28,8 @@ class Message:
     payload: Any = None
     on_delivery: Callable[["Message"], None] | None = None
     msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    #: Filled in by the network at send time.
+    #: Filled in by the network when the sender hands the message over
+    #: (a fault retransmission keeps it).
     send_time: int = -1
     #: Filled in by the network at delivery time.
     arrive_time: int = -1

@@ -62,8 +62,8 @@ class _LinkState:
     busy_until: int = 0
     free_flits: int = 0          # space left in the downstream buffer
     waiters: deque = field(default_factory=deque)
+    #: Flits sent; at one flit per cycle, also the busy cycles.
     flits_carried: int = 0
-    busy_cycles: int = 0
 
 
 class VCTNetwork(Component):
@@ -92,6 +92,11 @@ class VCTNetwork(Component):
             self.stats.bump("noc.local_deliveries")
             self.schedule(self.config.router_latency, self._deliver, msg)
             return
+        self._inject(msg)
+
+    def _inject(self, msg: Message) -> None:
+        """Put *msg* on the mesh unless a fault holds it back; a held
+        message re-enters here later."""
         if self.injector is not None and fault_defer(self, msg):
             return
         path = self.mesh.route(msg.src, msg.dst)
@@ -147,7 +152,6 @@ class VCTNetwork(Component):
         link.busy_until = end
         link.free_flits -= packet.flits
         link.flits_carried += packet.flits
-        link.busy_cycles += packet.flits
 
         header_at_next = start + self.config.link_latency \
             + self.config.router_latency
@@ -211,7 +215,7 @@ class VCTNetwork(Component):
     def link_utilization(self) -> dict[tuple[int, int], float]:
         if self.now == 0:
             return {key: 0.0 for key in self.links}
-        return {key: link.busy_cycles / self.now
+        return {key: link.flits_carried / self.now
                 for key, link in self.links.items()}
 
     def in_flight(self) -> int:

@@ -18,6 +18,8 @@ def test_link_stats_sorted_and_consistent():
     stats = link_stats(chip.network)
     flits = [f for _n, f, _u in stats]
     assert flits == sorted(flits, reverse=True)
+    # A link carries one flit per cycle: busy fraction = flits / cycles.
+    assert all(u == f / chip.network.now for _n, f, u in stats)
     assert sum(flits) == total_flit_hops(chip.network)
     assert sum(flits) > 0
 

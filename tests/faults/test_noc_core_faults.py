@@ -6,7 +6,11 @@ import pytest
 
 from repro import CMP, CMPConfig
 from repro.common.errors import DeadlockError
-from repro.faults import FaultPlan
+from repro.common.params import NocConfig
+from repro.common.stats import MsgCat, StatsRegistry
+from repro.faults import FaultInjector, FaultPlan
+from repro.noc import Message, Network, VCTNetwork
+from repro.sim import Engine
 from repro.workloads.synthetic import SyntheticBarrierWorkload
 
 
@@ -54,6 +58,36 @@ def test_noc_faults_apply_under_vct_model_too():
     result = chip.run(SyntheticBarrierWorkload(iterations=5))
     assert chip.stats.counters["faults.noc.dropped"] > 0
     assert result.num_barriers() == 20
+
+
+@pytest.mark.parametrize("network_class", [Network, VCTNetwork])
+def test_noc_latency_counts_retransmission_and_channel_wait(network_class):
+    """A message's latency runs from its first send to its delivery, so
+    a fault retransmission and the wait behind a blocked channel count."""
+    engine = Engine()
+    stats = StatsRegistry(4)
+    net = network_class(engine, stats, NocConfig(rows=2, cols=2))
+    net.injector = FaultInjector(FaultPlan(seed=1, noc_drop_rate=0.9), stats)
+    delivered = {}
+    first_send = {}
+
+    def send(tag):
+        first_send[tag] = engine.now
+        net.send(Message(src=0, dst=3, kind="GetS",
+                         category=MsgCat.REQUEST, size_bytes=8,
+                         on_delivery=lambda m: delivered.setdefault(
+                             tag, (engine.now, m.latency))))
+
+    engine.schedule_at(0, send, "a")
+    engine.schedule_at(0, send, "b")
+    engine.schedule_at(5, send, "c")
+    engine.run()
+    assert stats.counters["faults.noc.dropped"] > 0
+    assert sorted(delivered) == ["a", "b", "c"]
+    for tag, (at, latency) in delivered.items():
+        assert latency == at - first_send[tag]
+    # The later messages waited behind the first one's retransmissions.
+    assert delivered["b"][1] > net.zero_load_latency(0, 3, 8)
 
 
 def test_stragglers_delay_but_complete_the_barrier():

@@ -123,6 +123,16 @@ def test_accounting_matches_hop_model_semantics():
     assert net.routers[3].ejected == 1
 
 
+def test_link_utilization_counts_flits():
+    engine, _, net = build(1, 2, link_width_bytes=8)
+    send(net, 0, 1, size=16)  # 2 flits
+    engine.run()
+    util = net.link_utilization()
+    assert net.links[(0, 1)].flits_carried == 2
+    assert util[(0, 1)] == 2 / engine.now
+    assert util[(1, 0)] == 0
+
+
 def test_chip_runs_on_vct_model():
     from repro import CMP, CMPConfig
     from repro.workloads import Kernel3Workload
