@@ -95,10 +95,13 @@ class CMP:
             core = Core(self.engine, self.stats, t, l1, self.config.core)
             self.tiles.append(Tile(t, core, l1, home, memctrl))
 
-        # Cross-wire the protocol agents.
+        # Cross-wire the protocol agents: every controller shares one
+        # peer list per kind, indexed by tile.
+        homes = [tile.home for tile in self.tiles]
+        l1s = [tile.l1 for tile in self.tiles]
         for tile in self.tiles:
-            tile.home.l1_resolver = lambda t: self.tiles[t].l1
-            tile.l1.home_resolver = lambda t: self.tiles[t].home
+            tile.home.l1s = l1s
+            tile.l1.homes = homes
 
         self.barrier_impl = self._make_barrier(barrier)
         self.collective_impl = self._make_collective()

@@ -7,7 +7,7 @@ from .funcmem import FunctionalMemory
 from .l1 import L1Cache
 from .memory import MemoryController
 from .mshr import MshrEntry, MshrTable, Waiter
-from .protocol import ALL_KINDS, category_of, size_of
+from .protocol import ALL_KINDS, kind_table
 
 __all__ = [
     "WORD_BYTES", "AddressMap", "Allocator",
@@ -17,5 +17,5 @@ __all__ = [
     "L1Cache",
     "MemoryController",
     "MshrEntry", "MshrTable", "Waiter",
-    "ALL_KINDS", "category_of", "size_of",
+    "ALL_KINDS", "kind_table",
 ]

@@ -9,16 +9,18 @@ state complete, the rest trigger a follow-up upgrade request.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 
-@dataclass
+@dataclass(slots=True)
 class Waiter:
     need: str                      # 'S' or 'M'
-    callback: Callable[[], None]   # resume the stalled operation
+    #: Resumes the stalled operation as ``callback(*args)``.
+    callback: Callable[..., None]
+    args: tuple[Any, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class MshrEntry:
     line_addr: int
     requested: str                 # level requested from the home ('S'/'M')

@@ -95,7 +95,7 @@ class Network(Component):
     # ------------------------------------------------------------------ #
     def send(self, msg: Message) -> None:
         """Inject *msg*; its ``on_delivery`` runs at the destination."""
-        msg.send_time = self.now
+        msg.send_time = self.engine._now
         if msg.src == msg.dst:
             # Local tile transfer: router local-port turnaround only; not a
             # network message for Figure-7 accounting.
@@ -151,7 +151,7 @@ class Network(Component):
         would get that order wrong.
         """
         engine = self.engine
-        now = engine.now
+        now = engine._now
         link = links[index]
         # With contention a link carries one message at a time, so wait
         # for the previous tail to leave; without, it is infinitely wide.
@@ -173,7 +173,7 @@ class Network(Component):
             engine.schedule_at(at, self._hop, msg, links, index, flits)
 
     def _deliver(self, msg: Message) -> None:
-        msg.arrive_time = self.now
+        msg.arrive_time = self.engine._now
         if self.tracer.enabled:
             self.tracer.emit(self.now, self.name, obs_ev.NOC_DELIVER,
                              src=msg.src, dst=msg.dst, msg_kind=msg.kind,

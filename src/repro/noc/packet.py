@@ -27,7 +27,7 @@ class Message:
     size_bytes: int
     payload: Any = None
     on_delivery: Callable[["Message"], None] | None = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = field(default_factory=_msg_ids.__next__)
     #: Filled in by the network when the sender hands the message over
     #: (a fault retransmission keeps it).
     send_time: int = -1

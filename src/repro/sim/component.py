@@ -32,7 +32,7 @@ class Component:
 
     @property
     def now(self) -> int:
-        return self.engine.now
+        return self.engine._now
 
     def schedule(self, delay: int, callback: Callback, *args: Any,
                  priority: int = 0) -> None:
