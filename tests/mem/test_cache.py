@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import make_chip
 from repro.common.errors import SimulationError
 from repro.common.params import CacheConfig
 from repro.mem.cache import CacheArray, MESI
@@ -122,3 +123,17 @@ def test_resident_lines_and_counters():
     c.record_hit()
     c.record_miss()
     assert (c.hits, c.misses) == (1, 1)
+
+
+def test_l2_slice_reaches_every_set():
+    """A home slice holds only the lines homed at its tile, so its set
+    index must skip the tile-interleaving bits: a full slice's worth of
+    lines homed at one tile fits without a single eviction."""
+    chip = make_chip(16)
+    l2 = chip.tiles[0].home.l2
+    lines = [k * chip.num_cores * 64
+             for k in range(l2.num_sets * l2.assoc)]
+    assert {chip.amap.home_of(line) for line in lines} == {0}
+    assert all(l2.insert(line, MESI.E) is None for line in lines)
+    assert l2.evictions == 0
+    assert l2.occupancy() == len(lines)
