@@ -1,11 +1,14 @@
 """Protocol edge-path tests: error branches, banking, capacity churn."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import MemHarness, make_chip
 from repro.common.errors import ProtocolError
 from repro.common.stats import StatsRegistry
 from repro.mem.memory import MemoryController
+from repro.mem.protocol import ALL_KINDS, kind_table
 from repro.noc.packet import Message
 from repro.common.stats import MsgCat
 from repro.sim.engine import Engine
@@ -99,3 +102,15 @@ def test_unbanked_memory_unlimited():
     engine.run()
     assert done == [100] * 5
     assert mem.accesses == 5
+
+
+def test_kind_table_is_built_once_per_noc_config():
+    noc = make_chip(4).config.noc
+    kinds = kind_table(noc)
+    assert kind_table(replace(noc)) is kinds
+    assert kinds["GetS"] == (MsgCat.REQUEST, noc.ctrl_msg_bytes)
+    assert kinds["DataE"] == (MsgCat.REPLY, noc.data_msg_bytes)
+    assert kinds["PutM"] == (MsgCat.COHERENCE, noc.data_msg_bytes)
+    assert set(kinds) == set(ALL_KINDS)
+    with pytest.raises(TypeError):
+        kinds["GetS"] = (MsgCat.REPLY, 0)
