@@ -52,3 +52,25 @@ def test_warm_caches_reduce_measured_misses():
     occupied = sum(t.l1.array.occupancy() for t in chip.tiles)
     chip.reset_stats()
     assert sum(t.l1.array.occupancy() for t in chip.tiles) == occupied
+
+
+def test_reset_stats_routes_memory_counters_to_new_registry():
+    """After the reset, every component counts into the new registry: the
+    warm-up registry keeps exactly the warm-up's counts (a fresh chip
+    running the warm-up alone gives them), and the measured registry
+    sees L1, directory and L2 traffic.  A component holding on to the
+    old ``stats`` or ``stats.counters`` would fail one side or the
+    other."""
+    def warmup():
+        return SyntheticBarrierWorkload(iterations=2)
+
+    alone = make_chip(4, "dsw")
+    alone.run(warmup())
+    chip = make_chip(4, "dsw")
+    warm = chip.stats
+    chip.run_with_warmup(warmup(), Kernel3Workload(n=256, iterations=1))
+    assert chip.stats is not warm
+    assert warm.to_dict() == alone.stats.to_dict()
+    measured = chip.stats.counters
+    for name in ("l1.load_hits", "dir.gets", "l2.hits"):
+        assert measured[name] > 0, name
