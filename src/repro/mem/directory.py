@@ -142,7 +142,7 @@ class HomeController(Component):
 
     def _fetch(self, entry: DirEntry, msg: Message) -> None:
         line = msg.payload["line"]
-        self.memctrl.access(line, lambda: self._fill_l2(entry, msg))
+        self.memctrl.access(line, self._fill_l2, entry, msg)
 
     def _fill_l2(self, entry: DirEntry, msg: Message) -> None:
         # Silent array eviction: directory state for the victim is retained

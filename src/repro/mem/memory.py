@@ -8,7 +8,7 @@ single unlimited-bandwidth port; ablations can enable banking.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from ..common.stats import StatsRegistry
 from ..sim.component import Component
@@ -28,8 +28,10 @@ class MemoryController(Component):
         self._bank_free: list[int] = [0] * max(num_banks, 0)
         self.accesses = 0
 
-    def access(self, line_addr: int, callback: Callable[[], None]) -> None:
-        """Schedule *callback* after the memory access completes."""
+    def access(self, line_addr: int, callback: Callable[..., None],
+               *args: Any) -> None:
+        """Schedule ``callback(*args)`` after the memory access
+        completes."""
         self.accesses += 1
         self.stats.bump("mem.accesses")
         if self.num_banks:
@@ -37,6 +39,6 @@ class MemoryController(Component):
             start = max(self.now, self._bank_free[bank])
             finish = start + self.latency
             self._bank_free[bank] = finish
-            self.engine.schedule_at(finish, callback)
+            self.engine.schedule_at(finish, callback, *args)
         else:
-            self.schedule(self.latency, callback)
+            self.schedule(self.latency, callback, *args)

@@ -7,7 +7,8 @@ timestamps (a requirement for reproducible experiments and property tests).
 
 The engine is deliberately minimal -- per the profiling-first guidance, the
 hot path is ``schedule`` + ``run``'s pop loop, so both avoid any allocation
-beyond the event tuple itself.
+beyond the event tuple itself.  ``run`` keeps a lean loop for the common
+case of draining the queue with no budget and no order log.
 
 It is the only engine: ``tests/sim/test_engine_order.py`` pins its
 execution order against a minimal list-based reference, and chip-level
@@ -120,31 +121,25 @@ class Engine:
             self.tracer.emit(self._now, "engine", "engine.run.begin",
                              until=until, max_events=max_events,
                              pending=len(self._queue))
-        queue = self._queue
-        cancelled = self._cancelled
         log = self.order_log
         try:
-            while queue:
-                if (max_events is not None
-                        and self.events_executed >= max_events):
-                    break
-                time, prio, seq, callback, args = queue[0]
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                heapq.heappop(queue)
-                self._now = time
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
-                self.events_executed += 1
-                if log is not None:
-                    log.append((time, prio, seq,
-                                getattr(callback, "__qualname__", "?")))
-                callback(*args)
+            if until is None and max_events is None and log is None:
+                # The common case, every chip run: drain the queue.  Pop
+                # without peeking, but still reap the events a callback
+                # cancels mid-run.
+                queue = self._queue
+                cancelled = self._cancelled
+                pop = heapq.heappop
+                while queue:
+                    time, _prio, seq, callback, args = pop(queue)
+                    self._now = time
+                    if cancelled and seq in cancelled:
+                        cancelled.discard(seq)
+                        continue
+                    self.events_executed += 1
+                    callback(*args)
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                self._run_bounded(until, max_events, log)
         finally:
             self._running = False
         if self.tracer.enabled:
@@ -152,6 +147,35 @@ class Engine:
                              events=self.events_executed,
                              pending=len(self._queue))
         return self._now
+
+    def _run_bounded(self, until: int | None, max_events: int | None,
+                     log: Optional[list[tuple[int, int, int, str]]]
+                     ) -> None:
+        """``run``'s general loop: peek before popping so that ``until``
+        and ``max_events`` can stop it, and log the order if asked."""
+        queue = self._queue
+        cancelled = self._cancelled
+        while queue:
+            if (max_events is not None
+                    and self.events_executed >= max_events):
+                break
+            time, prio, seq, callback, args = queue[0]
+            if until is not None and time > until:
+                self._now = until
+                break
+            heapq.heappop(queue)
+            self._now = time
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            self.events_executed += 1
+            if log is not None:
+                log.append((time, prio, seq,
+                            getattr(callback, "__qualname__", "?")))
+            callback(*args)
+        else:
+            if until is not None and until > self._now:
+                self._now = until
 
     def step(self) -> bool:
         """Execute exactly one event.  Returns False if the queue is empty

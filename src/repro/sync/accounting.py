@@ -10,21 +10,21 @@ barrier) and Table 2 (#barriers, barrier period).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.errors import SimulationError
 from ..common.stats import BarrierSample, StatsRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class _Episode:
     first_arrival: int
     last_arrival: int
     arrived: int = 0
     departed: int = 0
     release: int = 0
-    #: Per-core arrival timestamps (for the S2 decomposition).
-    arrivals: list[int] = field(default_factory=list)
+    #: Sum of the per-core arrival cycles (for the S2 decomposition).
+    arrival_sum: int = 0
     #: Sum over cores of (departure - last_arrival), accumulated as cores
     #: depart (the S3-ish completion cost each core pays).
     completion_cycles: int = 0
@@ -44,7 +44,9 @@ class BarrierAccounting:
 
     # ------------------------------------------------------------------ #
     def arrive(self, core_id: int, barrier_id: int, now: int) -> int:
-        """Core enters the barrier; returns the episode index."""
+        """Core enters the barrier at cycle *now*; returns the episode
+        index.  A straggler's arrival may be recorded before its cycle,
+        so the first arrival is the minimum, not the first recorded."""
         ckey = (barrier_id, core_id)
         episode_idx = self._core_count.get(ckey, 0)
         self._core_count[ckey] = episode_idx + 1
@@ -54,8 +56,11 @@ class BarrierAccounting:
             ep = self._episodes[ekey] = _Episode(first_arrival=now,
                                                  last_arrival=now)
         ep.arrived += 1
-        ep.last_arrival = max(ep.last_arrival, now)
-        ep.arrivals.append(now)
+        if now < ep.first_arrival:
+            ep.first_arrival = now
+        if now > ep.last_arrival:
+            ep.last_arrival = now
+        ep.arrival_sum += now
         if ep.arrived > self.num_cores:
             raise SimulationError(
                 f"barrier {barrier_id} episode {episode_idx}: more arrivals "
@@ -78,7 +83,7 @@ class BarrierAccounting:
             # cores of (last arrival - own arrival); the remainder of each
             # core's episode time is the synchronization mechanism itself
             # (notification + release propagation).
-            s2 = sum(ep.last_arrival - t for t in ep.arrivals)
+            s2 = ep.arrived * ep.last_arrival - ep.arrival_sum
             self.stats.bump("barrier.s2_wait_cycles", s2)
             self.stats.bump("barrier.sync_cycles", ep.completion_cycles)
             self.stats.add_barrier(BarrierSample(

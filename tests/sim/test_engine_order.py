@@ -7,6 +7,10 @@ ordering contract in its plainest form.  The exact global
 ``(time, priority, seq)`` order, the clock, the executed-event count
 and ``pending()`` must agree.  Ordering is where a faster engine can
 silently diverge, so it gets the volume.
+
+Each script also runs on an :class:`Engine` without an order log: an
+unbounded ``run()`` then takes the engine's common-case loop, which
+must produce the same callback trace, clock, count and ``pending()``.
 """
 
 from hypothesis import given, settings
@@ -83,10 +87,11 @@ _action = st.tuples(st.integers(0, 30),
                     st.booleans())
 
 
-def _run_script(engine, actions, stop_cycle):
+def _run_script(engine, actions, stop_cycle, logged=True):
     """Deterministically replay *actions* on *engine*; returns the full
-    observable outcome (order log includes time/priority/seq)."""
-    engine.order_log = []
+    observable outcome (order log includes time/priority/seq; ``None``
+    when not *logged*)."""
+    engine.order_log = [] if logged else None
     trace = []
     pool = list(actions)
 
@@ -112,8 +117,11 @@ def _run_script(engine, actions, stop_cycle):
 @given(actions=st.lists(_action, min_size=1, max_size=60),
        stop_cycle=st.integers(10, 300))
 def test_engine_order_matches_reference(actions, stop_cycle):
-    assert (_run_script(Engine(), actions, stop_cycle)
-            == _run_script(ReferenceEngine(), actions, stop_cycle))
+    reference = _run_script(ReferenceEngine(), actions, stop_cycle)
+    assert _run_script(Engine(), actions, stop_cycle) == reference
+    trace, _log, now, executed, pending = reference
+    assert (_run_script(Engine(), actions, stop_cycle, logged=False)
+            == (trace, None, now, executed, pending))
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,11 +133,14 @@ def test_engine_budgeted_run_matches_reference(actions, budgets,
     """Interleaved max_events slices, until windows and single steps must
     leave both engines in identical externally-visible states."""
     outcomes = []
-    for engine in (Engine(), ReferenceEngine()):
-        engine.order_log = []
+    for engine, logged in ((Engine(), True), (ReferenceEngine(), True),
+                           (Engine(), False)):
+        engine.order_log = [] if logged else None
         pool = list(actions)
+        trace = []
 
-        def cb(tag):
+        def cb(tag, engine=engine, pool=pool, trace=trace):
+            trace.append((tag, engine.now))
             if not pool:
                 return
             delay, priority, children, _ = pool.pop()
@@ -149,6 +160,8 @@ def test_engine_budgeted_run_matches_reference(actions, budgets,
             states.append((engine.now, engine.events_executed,
                            engine.pending()))
         engine.run()
-        outcomes.append((states, engine.order_log, engine.now,
-                         engine.events_executed))
+        outcomes.append((trace, states, engine.order_log, engine.now,
+                         engine.events_executed, engine.pending()))
     assert outcomes[0] == outcomes[1]
+    trace, states, _log, now, executed, pending = outcomes[1]
+    assert outcomes[2] == (trace, states, None, now, executed, pending)
