@@ -9,6 +9,8 @@ Two implementations share the interface:
   quarantines a network the episode completes over the software
   fallback instead, with the same one-cohort guarantee as the barrier
   (a collective episode is never split between hardware and software).
+  Without a fallback the entry overhead is folded into the arrival as
+  its delay, as :class:`~repro.gline.barrier.GLBarrier` does.
 * :class:`SoftwareAllReduce` -- the NoC baseline and failover target: a
   centralized sense-reversing all-reduce where every core folds its
   operand into a shared accumulator with one atomic, the last arriver
@@ -132,19 +134,22 @@ class GLCollective(CollectiveImpl):
             raise ConfigError(
                 f"collective context {op.ident} not provisioned "
                 f"(have {len(self.networks)})")
-        if self.entry_overhead:
-            yield isa.Compute(self.entry_overhead)
         net = self.networks[op.ident]
-        if self.fallback is not None \
-                and (self._sw_cohort.get(op.ident, 0)
-                     or getattr(net, "quarantined", False)):
-            return (yield from self._join_software(core, op, net))
-        outcome = yield HWCollectiveArrive(net, op.kind, op.value)
-        if outcome == FAILOVER:
-            if self.fallback is None:
+        if self.fallback is None:
+            outcome = yield HWCollectiveArrive(net, op.kind, op.value,
+                                               self.entry_overhead)
+            if outcome == FAILOVER:
                 raise GLineError(
                     f"collective context {op.ident} failed over but no "
                     f"software fallback is configured")
+            return outcome
+        if self.entry_overhead:
+            yield isa.Compute(self.entry_overhead)
+        if (self._sw_cohort.get(op.ident, 0)
+                or getattr(net, "quarantined", False)):
+            return (yield from self._join_software(core, op, net))
+        outcome = yield HWCollectiveArrive(net, op.kind, op.value)
+        if outcome == FAILOVER:
             outcome = yield from self._join_software(core, op, net)
         return outcome
 

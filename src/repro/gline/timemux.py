@@ -45,15 +45,13 @@ class SlotContext:
         self.num_slots = num_slots
         self.engine = engine
 
-    def arrive(self, core_id: int, resume) -> None:
-        """Align the bar_reg write so it becomes visible in our slot."""
+    def arrive(self, core_id: int, resume, delay: int = 0) -> None:
+        """Align the bar_reg write, *delay* cycles from now, so it
+        becomes visible in our slot."""
         write = self.net.config.barreg_write_cycles
-        visible = self.engine.now + write
+        visible = self.engine.now + delay + write
         align = (self.slot - visible) % self.num_slots
-        if align:
-            self.engine.schedule(align, self.net.arrive, core_id, resume)
-        else:
-            self.net.arrive(core_id, resume)
+        self.net.arrive(core_id, resume, delay + align)
 
     # Pass-throughs used by GLBarrier / reports / tests.
     @property
