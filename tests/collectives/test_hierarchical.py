@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+from repro.chip.cmp import CMP
 from repro.collectives import ops
 from repro.collectives.config import CollectiveConfig
 from repro.collectives.hierarchical import HierarchicalCollectiveNetwork
-from repro.common.params import GLineConfig
+from repro.common.params import CMPConfig, GLineConfig
 from repro.common.stats import StatsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.sim.engine import Engine
+from repro.workloads.collective import CollectiveAllReduceWorkload
 
 
 def make_hier(rows, cols, width=4, **cc_kwargs):
@@ -61,3 +64,23 @@ def test_cluster_partition_covers_mesh():
         assert cores.isdisjoint(ids)
         cores |= ids
     assert len(cores) == 64
+
+
+def test_chip_counts_each_hierarchical_episode_once():
+    # 8x8: 2x2 clusters finish every episode too, but only the top
+    # level's completion is a chip episode.
+    cfg = CMPConfig.for_cores(64).with_(collectives=CollectiveConfig(
+        enabled=True, value_width=8, integrity="echo"))
+    chip = CMP(cfg, barrier="gl",
+               obs=Observability(metrics=MetricsRegistry()))
+    workload = CollectiveAllReduceWorkload(iterations=7)
+    result = chip.run(workload)
+    workload.verify(chip)
+    net = chip.collective_impl.networks[0]
+    assert isinstance(net, HierarchicalCollectiveNetwork)
+    assert net.collectives_completed == 7
+    assert chip.stats.counters["collectives.completed"] == 7
+    assert result.metrics["counters"]["collectives.episodes"] == 7
+    lines = [line for level in [*net.clusters, net.top]
+             for line in level.lines]
+    assert chip.stats.gline_toggles == sum(line.toggles for line in lines)

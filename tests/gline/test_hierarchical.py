@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.chip.cmp import CMP
 from repro.common.errors import CapacityError, ConfigError
-from repro.common.params import GLineConfig
+from repro.common.params import CMPConfig, GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.gline.hierarchical import HierarchicalGLineBarrier, partition
+from repro.obs import MetricsRegistry, Observability
 from repro.sim.engine import Engine
+from repro.workloads.synthetic import SyntheticBarrierWorkload
 
 
 def build(rows, cols):
@@ -123,3 +126,39 @@ def test_staggered_arrivals():
 def test_too_large_for_two_levels_rejected():
     with pytest.raises(CapacityError):
         build(50, 7)
+
+
+# ---------------------------------------------------------------------- #
+# Chip-level counters of a hierarchical barrier
+# ---------------------------------------------------------------------- #
+def _chip64(obs=None):
+    chip = CMP(CMPConfig.for_cores(64), barrier="gl", obs=obs)
+    net = chip.barrier_impl.networks[0]
+    assert isinstance(net, HierarchicalGLineBarrier)
+    return chip, net
+
+
+def test_chip_counts_each_hierarchical_episode_once():
+    # 2x2 clusters and a top level complete once each per barrier; the
+    # chip counts the barrier once, in stats and in metrics.
+    chip, _net = _chip64(Observability(metrics=MetricsRegistry()))
+    result = chip.run(SyntheticBarrierWorkload(iterations=2))
+    assert result.num_barriers() == 8
+    assert chip.stats.counters["gline.barriers"] == 8
+    assert result.metrics["counters"]["gline.episodes"] == 8
+    assert result.metrics["histograms"]["gline.episode_latency"]["count"] \
+        == 8
+
+
+def test_chip_counts_every_wire_toggle_at_every_level():
+    chip, net = _chip64()
+    lines = [line for level in [*net.clusters, net.top]
+             for line in level.lines]
+    warmup_stats = chip.stats
+    chip.run_with_warmup(SyntheticBarrierWorkload(iterations=1),
+                         SyntheticBarrierWorkload(iterations=2))
+    # Toggles before the stats reset stay in the warm-up registry; the
+    # measured run's land in the new one.
+    assert chip.stats.gline_toggles > warmup_stats.gline_toggles > 0
+    assert warmup_stats.gline_toggles + chip.stats.gline_toggles == \
+        sum(line.toggles for line in lines)
