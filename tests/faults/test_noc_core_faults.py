@@ -1,5 +1,6 @@
 """NoC packet faults and core straggler / fail-stop faults."""
 
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,8 @@ from repro.common.params import NocConfig
 from repro.common.stats import MsgCat, StatsRegistry
 from repro.faults import FaultInjector, FaultPlan
 from repro.noc import Message, Network, VCTNetwork
+from repro.obs import Observability, RingTracer
+from repro.obs import events as obs_ev
 from repro.sim import Engine
 from repro.workloads.synthetic import SyntheticBarrierWorkload
 
@@ -98,6 +101,32 @@ def test_stragglers_delay_but_complete_the_barrier():
     assert chip.stats.counters["faults.core.stragglers"] > 0
     assert result.num_barriers() == clean.num_barriers()
     assert result.total_cycles > clean.total_cycles
+
+
+def test_straggler_arrivals_count_from_when_the_frame_runs():
+    # A straggler's barrier arrival is recorded when it issues the
+    # BarrierOp, stamped with the cycle its library frame first runs.
+    # Rebuild every episode from the cores' trace events and compare.
+    tracer = RingTracer(capacity=None, kinds={obs_ev.CORE_BARRIER_ENTER,
+                                              obs_ev.CORE_STRAGGLER})
+    plan = FaultPlan(seed=4, core_straggler_rate=0.3,
+                     straggler_max_cycles=100)
+    chip = CMP(CMPConfig.for_cores(4).with_(faults=plan), barrier="gl",
+               obs=Observability(tracer=tracer))
+    chip.run(SyntheticBarrierWorkload(iterations=5))
+    assert chip.stats.counters["faults.core.stragglers"] > 0
+    arrivals = defaultdict(list)
+    for ev in tracer.events:
+        if ev.kind == obs_ev.CORE_BARRIER_ENTER:
+            arrivals[ev.source].append(ev.time)
+        else:  # emitted right after the same core's enter
+            arrivals[ev.source][-1] += ev.detail["delay"]
+    episodes = list(zip(*arrivals.values()))
+    assert [(s.first_arrival, s.last_arrival)
+            for s in chip.stats.barriers] == \
+        [(min(ep), max(ep)) for ep in episodes]
+    assert chip.stats.counters["barrier.s2_wait_cycles"] == \
+        sum(len(ep) * max(ep) - sum(ep) for ep in episodes)
 
 
 def test_failstop_deadlock_is_enriched():

@@ -22,6 +22,24 @@ def test_episode_lifecycle():
     assert acct.open_episodes() == 0
 
 
+def test_arrivals_recorded_ahead_of_their_cycle():
+    # A straggler's arrival is recorded when it issues its BarrierOp,
+    # stamped with the later cycle its barrier frame first runs, so a
+    # punctual core's arrival can be recorded after it with an earlier
+    # stamp.  The first arrival is the earliest stamp, and S2 sums each
+    # core's wait for the last one.
+    stats = StatsRegistry(3)
+    acct = BarrierAccounting(stats, num_cores=3)
+    episodes = [acct.arrive(0, 0, now=60), acct.arrive(1, 0, now=20),
+                acct.arrive(2, 0, now=35)]
+    for core, ep in enumerate(episodes):
+        acct.depart(core, 0, ep, now=70 + core)
+    s = stats.barriers[0]
+    assert (s.first_arrival, s.last_arrival, s.release) == (20, 60, 72)
+    assert stats.counters["barrier.s2_wait_cycles"] == 0 + 40 + 25
+    assert stats.counters["barrier.sync_cycles"] == 10 + 11 + 12
+
+
 def test_per_core_episode_indexing():
     stats = StatsRegistry(2)
     acct = BarrierAccounting(stats, num_cores=2)
