@@ -1,9 +1,9 @@
 """Pins of the coherence and synchronization event schedule.
 
 Each case runs a coherence-heavy or G-line synchronization scenario
-(flat and hierarchical barriers, an all-reduce, a watchdog failover) on
-a fresh chip and pins four
-things: how many events the engine executed, a sha256 of its
+(flat, hierarchical and time-multiplexed barriers and all-reduces, and
+watchdog, segment and collective failovers) on a fresh chip and pins
+four things: how many events the engine executed, a sha256 of its
 ``(time, priority, seq)`` order log, a sha256 of the canonical JSON of
 ``stats.to_dict()``, and the simulated cycles.  Callback names are left
 out of the log, so handlers may be renamed or restructured; what must
@@ -15,10 +15,13 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import MemHarness, canonical_digest, make_chip
+from helpers import MemHarness, canonical_digest, make_chip, run_uniform
 from repro.chip.cmp import CMP
 from repro.collectives.config import CollectiveConfig
 from repro.common.params import CMPConfig
+from repro.cpu import isa
+from repro.gline.barrier import GLBarrier
+from repro.gline.timemux import build_time_multiplexed
 from repro.workloads import Kernel3Workload
 from repro.workloads.collective import CollectiveAllReduceWorkload
 from repro.workloads.stress import StressWorkload
@@ -141,6 +144,63 @@ def _gl16_failover():
     return chip, result.total_cycles
 
 
+def _gl16_timemux():
+    # test_timemux.test_on_chip_via_glbarrier at 16 cores: two barrier
+    # contexts share one 4x4 network's wires by time slot, and staggered
+    # compute makes arrivals land on and off each context's slot.
+    chip = _logged_chip(16)
+    ctxs = build_time_multiplexed(chip.engine, chip.stats, 4, 4,
+                                  chip.config.gline, num_slots=2)
+    chip.barrier_impl = GLBarrier(ctxs, chip.config.gline)
+    for tile in chip.tiles:
+        tile.core.barrier_binding = chip.barrier_impl
+
+    def prog(cid):
+        for i in range(3):
+            yield isa.Compute(1 + (cid * 3 + i) % 5)
+            yield isa.BarrierOp(i % 2)
+
+    return chip, run_uniform(chip, prog).total_cycles
+
+
+def _allreduce16_slots2():
+    chip = _logged_chip(16, collectives=CollectiveConfig(enabled=True,
+                                                         time_slots=2))
+    workload = CollectiveAllReduceWorkload(iterations=7)
+    result = chip.run(workload)
+    workload.verify(chip)
+    return chip, result.total_cycles
+
+
+def _gl64_segment_failover():
+    # A dead gather line in cluster 1 of the 8x8 hierarchy: that cluster
+    # degrades to a software segment that still joins the top level.
+    cfg = CMPConfig.for_cores(64)
+    cfg = cfg.with_(gline=replace(cfg.gline, watchdog_budget=64,
+                                  segment_failover=True))
+    chip = CMP(cfg, barrier="gl")
+    chip.engine.order_log = []
+    chip.barrier_impl.networks[0].clusters[1].lines[0].stuck = 0
+    result = chip.run(SyntheticBarrierWorkload(iterations=4))
+    counters = chip.stats.counters
+    assert counters["faults.watchdog.failovers"] == 1
+    assert counters["faults.failover.segment_arrivals"] == 256
+    return chip, result.total_cycles
+
+
+def _allreduce16_failover():
+    # A dead collective wire: the watchdog fails the network over and
+    # every episode completes over the software all-reduce.
+    chip = _logged_chip(16, collectives=CollectiveConfig(
+        enabled=True, watchdog_budget=64))
+    chip.collective_impl.networks[0].lines[0].stuck = 0
+    workload = CollectiveAllReduceWorkload(iterations=5)
+    result = chip.run(workload)
+    workload.verify(chip)
+    assert chip.stats.counters["faults.collective.failovers"] == 1
+    return chip, result.total_cycles
+
+
 #: name -> (scenario, events, cycles, order-log sha256, stats sha256).
 #: Cycles and stats hashes date from before the coherence fast path
 #: (coherence pins) and the sync-op fast path (synchronization pins).
@@ -149,7 +209,9 @@ def _gl16_failover():
 #: rode on the arrival: fewer events, each at the cycle it had.  The
 #: stats hashes of the two hierarchical pins were re-pinned when
 #: hierarchical builds began to count each chip episode once and every
-#: level's wire toggles.
+#: level's wire toggles.  The time-multiplexed and failover pins were
+#: added as they were, before the barrier and collective networks began
+#: to share one engine adapter.
 PINS = {
     "csw16": (_csw16, 93209, 128197,
         "212c145aefb473920796aecee2c7cd7f39f2a629a240eabce3c9eff100c4a55c",
@@ -184,6 +246,18 @@ PINS = {
     "gl16-failover": (_gl16_failover, 308382, 422086,
         "fddea8628ca6c8414b4ee504c309440a7929686425920ce75ac55ca52a4bb77e",
         "a58d44ece3ca4ec5b3ed69aca2e6ede6f74785e8f43c31d506216a6e5a35ecc0"),
+    "gl16-timemux": (_gl16_timemux, 178, 63,
+        "34b4efd234b06979379bea0b25319c1a34a3ae61e3a676ad6746f141236f3d85",
+        "66813b107821205a50c94995d751632f17ca18f6dec7aa100477cb297f7e6854"),
+    "allreduce16-slots2": (_allreduce16_slots2, 688, 931,
+        "11ca9ad8fa83ffa85b2e582445875fb85e2f7d327752d1346a1ad47352090a02",
+        "efad4eecaf42b4785378b83e613e08cca8f1bcee0a6de6907d71557e12c6b57f"),
+    "gl64-segment-failover": (_gl64_segment_failover, 4009, 1201,
+        "a7e7f23fa39ec4ed3cdefe820490d7af20aa539e0e943838c249ae574cc991f5",
+        "3a3fe0c8d958174caef67a128a74a579c2462b8ec048ca1dff176f74e2fe4c45"),
+    "allreduce16-failover": (_allreduce16_failover, 6930, 8008,
+        "b363017986822dac7cc7a3aa228bd57f630021492e6a575b571877ba0e65dda3",
+        "523929af685b2f93cc787766e982ef25ad732de2d5481a422bb17df92a72eeef"),
 }
 
 
