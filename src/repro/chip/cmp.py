@@ -112,10 +112,8 @@ class CMP:
             tile.core.barrier_accounting = self.accounting
             tile.core.injector = self.injector
         if self.injector is not None:
-            for impl in (self.barrier_impl, self.collective_impl):
-                for net in getattr(impl, "networks", []):
-                    if hasattr(net, "set_injector"):
-                        net.set_injector(self.injector)
+            for net in self.sync_contexts:
+                net.set_injector(self.injector)
         if obs is not None:
             self.set_obs(obs)
 
@@ -135,10 +133,8 @@ class CMP:
                 comp.tracer = obs.tracer
                 comp.metrics = obs.metrics
             tile.core.flight = obs.flight
-        for impl in (self.barrier_impl, self.collective_impl):
-            for net in getattr(impl, "networks", []):
-                if hasattr(net, "set_obs"):
-                    net.set_obs(obs)
+        for net in self.sync_contexts:
+            net.set_obs(obs)
 
     # ------------------------------------------------------------------ #
     def _make_barrier(self, barrier: str | BarrierImpl) -> BarrierImpl:
@@ -232,12 +228,8 @@ class CMP:
             tile.l1.stats = self.stats
             tile.home.stats = self.stats
             tile.memctrl.stats = self.stats
-        for impl in (self.barrier_impl, self.collective_impl):
-            for net in getattr(impl, "networks", []):
-                if hasattr(net, "set_stats"):
-                    net.set_stats(self.stats)
-                elif hasattr(net, "stats"):
-                    net.stats = self.stats
+        for net in self.sync_contexts:
+            net.set_stats(self.stats)
 
     def run_with_warmup(self, warmup_workload, workload, **kw) -> RunResult:
         """Run *warmup_workload* (discarding its statistics), then measure
@@ -254,6 +246,12 @@ class CMP:
         return self.run(workload, **kw)
 
     # ------------------------------------------------------------------ #
+    @property
+    def sync_contexts(self) -> list:
+        """Every G-line barrier and collective context on the chip."""
+        return [net for impl in (self.barrier_impl, self.collective_impl)
+                for net in getattr(impl, "networks", [])]
+
     @property
     def cores(self) -> list[Core]:
         return [tile.core for tile in self.tiles]

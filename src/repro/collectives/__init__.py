@@ -2,7 +2,8 @@
 all-reduce), the subsystem grown around the barrier network's S-CSMA
 counting wires."""
 
-from .build import build_collective_contexts, total_wires
+from ..gline.context import total_wires
+from .build import build_collective_contexts
 from .config import CollectiveConfig
 from .controllers import MUTATIONS, StageMaster, StageSlave
 from .fabric import CollectiveFabric
@@ -12,7 +13,7 @@ from .network import CollectiveNetwork
 from .ops import (
     COMBINE_KIND, KINDS, MECHANISM, reference_reduce, result_width,
 )
-from .timemux import CollectiveSlotContext, build_time_multiplexed
+from .timemux import build_time_multiplexed
 
 __all__ = [
     "COMBINE_KIND",
@@ -20,7 +21,6 @@ __all__ = [
     "CollectiveFabric",
     "CollectiveImpl",
     "CollectiveNetwork",
-    "CollectiveSlotContext",
     "GLCollective",
     "HierarchicalCollectiveNetwork",
     "KINDS",

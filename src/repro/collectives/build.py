@@ -52,14 +52,3 @@ def build_collective_contexts(engine: Engine, stats: StatsRegistry,
                 engine, stats, rows, cols, gl_config, coll_config,
                 name=ctx_name))
     return contexts
-
-
-def total_wires(contexts: list) -> int:
-    """Physical wire budget across all contexts (time-multiplexed
-    contexts share one fabric; replicated contexts each own theirs)."""
-    if not contexts:
-        return 0
-    first = contexts[0]
-    if hasattr(first, "slot"):
-        return first.num_glines
-    return sum(c.num_glines for c in contexts)

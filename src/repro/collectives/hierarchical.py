@@ -44,19 +44,18 @@ from dataclasses import replace
 from itertools import chain
 from typing import Callable
 
-from ..common.errors import CapacityError, ConfigError
+from ..common.errors import ConfigError
 from ..common.params import GLineConfig
 from ..common.stats import StatsRegistry
 from ..faults import FAILOVER
-from ..gline.hierarchical import partition
-from ..sim.component import Component
+from ..gline.context import Hierarchy
 from ..sim.engine import Engine
 from . import ops
 from .config import CollectiveConfig
 from .network import CollectiveNetwork
 
 
-class HierarchicalCollectiveNetwork(Component):
+class HierarchicalCollectiveNetwork(Hierarchy):
     """Two-level collective network; same ``arrive`` interface as the
     flat :class:`~repro.collectives.network.CollectiveNetwork`."""
 
@@ -64,25 +63,12 @@ class HierarchicalCollectiveNetwork(Component):
                  cols: int, gl_config: GLineConfig | None = None,
                  coll_config: CollectiveConfig | None = None,
                  name: str = "collh"):
-        super().__init__(engine, stats, name)
-        self.gl_config = gl_config or GLineConfig()
+        super().__init__(engine, stats, rows, cols,
+                         gl_config or GLineConfig(), name)
         self.coll_config = coll_config or CollectiveConfig()
-        self.rows = rows
-        self.cols = cols
-        self.num_cores = rows * cols
-        max_dim = self.gl_config.max_transmitters + 1
-        row_chunks = partition(rows, max_dim)
-        col_chunks = partition(cols, max_dim)
-        self.cluster_rows = len(row_chunks)
-        self.cluster_cols = len(col_chunks)
-        if self.cluster_rows > max_dim or self.cluster_cols > max_dim:
-            raise CapacityError(
-                f"{rows}x{cols} needs more than {max_dim}x{max_dim} "
-                f"clusters; a deeper hierarchy is not implemented")
 
         w = self.coll_config.value_width
-        max_nc = max(rl for _, rl in row_chunks) * \
-            max(cl for _, cl in col_chunks)
+        max_nc = max(len(ids) for _, _, _, ids in self.grid)
         #: Top-level operand width: sized for the widest cluster partial
         #: any kind can produce (SUM over the largest cluster).
         self.top_width = ops.stage_result_width("sum", w, max_nc)
@@ -95,7 +81,6 @@ class HierarchicalCollectiveNetwork(Component):
 
         self.segment_mode = self.gl_config.segment_failover
         self.clusters: list[CollectiveNetwork] = []
-        self._cluster_of: dict[int, CollectiveNetwork] = {}
         #: Per-cluster software-cohort state (segment_failover mode):
         #: the pending (value, resume) pairs of the open episode, its
         #: kind, and the modelled NoC combine/scatter leg latency.
@@ -103,37 +88,32 @@ class HierarchicalCollectiveNetwork(Component):
         #: Per cluster, the resume its root arrives at the top with.
         self._top_resumes: dict[str, Callable[..., None]] = {}
         root_ids: list[int] = []
-        for ri, (r0, rl) in enumerate(row_chunks):
-            for ci, (c0, cl) in enumerate(col_chunks):
-                ids = [(r0 + r) * cols + (c0 + c)
-                       for r in range(rl) for c in range(cl)]
-                cl_net = CollectiveNetwork(
-                    engine, stats, rl, cl, self.gl_config,
-                    self.coll_config, name=f"{name}.c{ri}_{ci}",
-                    core_ids=ids, hold_result=True)
-                cl_net.bcast_width_fn = self._global_bw
-                # Only the top level counts episodes: it completes once
-                # per chip episode.
-                cl_net.counts_episodes = False
-                cl_net.on_reduced = \
-                    lambda partial, n=cl_net: self._cluster_reduced(
-                        n, partial)
-                cl_net.on_failover = \
-                    lambda n=cl_net: self._cluster_failed(n)
-                self._top_resumes[cl_net.name] = \
-                    lambda outcome=None, n=cl_net: self._top_resumed(
-                        n, outcome)
-                self.clusters.append(cl_net)
-                self._segments[cl_net.name] = {
-                    "pend": [], "kind": None,
-                    "latency": self.gl_config.entry_overhead
-                    + 2 * (rl + cl)}
-                for cid in ids:
-                    self._cluster_of[cid] = cl_net
-                root_ids.append(ids[0])
+        for cl_name, rl, cl, ids in self.grid:
+            cl_net = CollectiveNetwork(
+                engine, stats, rl, cl, self.gl_config,
+                self.coll_config, name=cl_name,
+                core_ids=ids, hold_result=True)
+            cl_net.bcast_width_fn = self._global_bw
+            # Only the top level counts episodes: it completes once
+            # per chip episode.
+            cl_net.counts_episodes = False
+            cl_net.on_reduced = \
+                lambda partial, n=cl_net: self._cluster_reduced(
+                    n, partial)
+            cl_net.on_failover = \
+                lambda n=cl_net: self._cluster_failed(n)
+            self._top_resumes[cl_net.name] = \
+                lambda outcome=None, n=cl_net: self._top_resumed(
+                    n, outcome)
+            self.clusters.append(cl_net)
+            self._segments[cl_net.name] = {
+                "pend": [], "kind": None,
+                "latency": self.gl_config.entry_overhead
+                + 2 * (rl + cl)}
+            root_ids.append(ids[0])
 
         top_coll = replace(self.coll_config, value_width=self.top_width)
-        self.top = CollectiveNetwork(
+        self.top: CollectiveNetwork = CollectiveNetwork(
             engine, stats, self.cluster_rows, self.cluster_cols,
             self.gl_config, top_coll, name=f"{name}.top",
             core_ids=root_ids)
@@ -162,7 +142,7 @@ class HierarchicalCollectiveNetwork(Component):
             # col_reg write: decide once the delay has passed.
             self.schedule(delay, self.arrive, core_id, kind, value, resume)
             return
-        cluster = self._cluster_of[core_id]
+        cluster = self.clusters[self.cluster_of[core_id]]
         if self.segment_mode and not self.quarantined:
             if cluster.quarantined and not self.top.quarantined:
                 # The cluster is retired but the chip is healthy: its
@@ -292,22 +272,8 @@ class HierarchicalCollectiveNetwork(Component):
         return self.stats
 
     @property
-    def num_glines(self) -> int:
-        return self.top.num_glines + sum(c.num_glines
-                                         for c in self.clusters)
-
-    @property
     def collectives_completed(self) -> int:
         return self.top.collectives_completed
-
-    @property
-    def detections(self) -> int:
-        return self.top.detections + sum(c.detections
-                                         for c in self.clusters)
-
-    @property
-    def retries(self) -> int:
-        return self.top.retries + sum(c.retries for c in self.clusters)
 
     @property
     def int_detections(self) -> int:
@@ -338,29 +304,6 @@ class HierarchicalCollectiveNetwork(Component):
     def integrity_log(self) -> list[str]:
         return list(chain(self.top.integrity_log,
                           *(c.integrity_log for c in self.clusters)))
-
-    @property
-    def failover_reports(self) -> list[str]:
-        return list(chain(self.top.failover_reports,
-                          *(c.failover_reports for c in self.clusters)))
-
-    def set_injector(self, injector) -> None:
-        self.top.set_injector(injector)
-        for c in self.clusters:
-            c.set_injector(injector)
-
-    def set_stats(self, stats: StatsRegistry) -> None:
-        self.stats = stats
-        self.top.set_stats(stats)
-        for c in self.clusters:
-            c.set_stats(stats)
-
-    def set_obs(self, obs) -> None:
-        self.tracer = obs.tracer
-        self.metrics = obs.metrics
-        self.top.set_obs(obs)
-        for c in self.clusters:
-            c.set_obs(obs)
 
     def fully_idle(self) -> bool:
         return self.top.fully_idle() and all(c.fully_idle()

@@ -145,8 +145,7 @@ class GLCollective(CollectiveImpl):
             return outcome
         if self.entry_overhead:
             yield isa.Compute(self.entry_overhead)
-        if (self._sw_cohort.get(op.ident, 0)
-                or getattr(net, "quarantined", False)):
+        if self._sw_cohort.get(op.ident, 0) or net.quarantined:
             return (yield from self._join_software(core, op, net))
         outcome = yield HWCollectiveArrive(net, op.kind, op.value)
         if outcome == FAILOVER:
@@ -157,12 +156,11 @@ class GLCollective(CollectiveImpl):
         core.stats.bump("faults.failover.sw_collectives")
         joined = self._sw_cohort.get(op.ident, 0) + 1
         self._sw_cohort[op.ident] = \
-            0 if joined >= getattr(net, "num_cores", 0) else joined
+            0 if joined >= net.num_cores else joined
         return (yield from self.fallback.sequence(core, op))
 
     def describe(self) -> str:
-        net = self.networks[0]
-        wires = getattr(net, "num_glines", "?")
+        wires = self.networks[0].num_glines
         desc = (f"G-line collective engine ({len(self.networks)} "
                 f"context(s), {wires} G-lines per context, entry "
                 f"overhead {self.entry_overhead} cycles)")

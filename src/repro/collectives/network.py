@@ -1,8 +1,9 @@
 """Engine-backed collective network: one operation context on a chip.
 
-Wraps one :class:`~repro.collectives.fabric.CollectiveFabric` with the
-same lifecycle the barrier network gives its controllers: arrivals go
-through a modelled ``col_reg`` write latency, the fabric is clocked at
+Wraps one :class:`~repro.collectives.fabric.CollectiveFabric` in the
+engine adapter the barrier network also uses
+(:class:`~repro.gline.context.SyncContext`): arrivals go through a
+modelled ``col_reg`` write latency, the fabric is clocked at
 ``line_latency`` only while an episode is in flight (power gating), the
 fault injector perturbs the wires between the assert and sample
 sub-phases, and a hardened network (``CollectiveConfig.watchdog_budget``
@@ -26,18 +27,20 @@ from ..common.errors import CapacityError, GLineError
 from ..common.params import GLineConfig
 from ..common.stats import StatsRegistry
 from ..faults import FAILOVER
+from ..gline.context import FAILOVER_REPORT_CAP, SyncContext
 from ..gline.gline import GLine
 from ..gline.integrity import full_jitter
-from ..gline.network import FAILOVER_REPORT_CAP, TICK_PRIORITY
 from ..obs import events as obs_ev
-from ..sim.component import Component
 from ..sim.engine import Engine
 from .config import CollectiveConfig
 from .fabric import CollectiveFabric
 
 
-class CollectiveNetwork(Component):
+class CollectiveNetwork(SyncContext):
     """One collective operation context over a dedicated G-line fabric."""
+
+    what = "collective network"
+    scale_out = "repro.collectives.hierarchical"
 
     def __init__(self, engine: Engine, stats: StatsRegistry, rows: int,
                  cols: int, gl_config: GLineConfig | None = None,
@@ -45,25 +48,11 @@ class CollectiveNetwork(Component):
                  name: str = "collnet",
                  core_ids: list[int] | None = None,
                  hold_result: bool = False,
-                 mutation: str | None = None):
-        super().__init__(engine, stats, name)
-        self.gl_config = gl_config or GLineConfig()
+                 mutation: str | None = None,
+                 slot: int | None = None):
+        super().__init__(engine, stats, rows, cols,
+                         gl_config or GLineConfig(), name, core_ids, slot)
         self.coll_config = coll_config or CollectiveConfig()
-        max_dim = self.gl_config.max_transmitters + 1
-        if rows > max_dim or cols > max_dim:
-            raise CapacityError(
-                f"a single collective network supports at most "
-                f"{max_dim}x{max_dim} cores (S-CSMA limit of "
-                f"{self.gl_config.max_transmitters} transmitters per "
-                f"line); use repro.collectives.hierarchical for "
-                f"{rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self.core_ids = core_ids or list(range(rows * cols))
-        if len(self.core_ids) != rows * cols:
-            raise CapacityError("core_ids must cover the full mesh")
-        self.num_cores = rows * cols
-        self._local_of = {cid: i for i, cid in enumerate(self.core_ids)}
 
         self.fabric = CollectiveFabric(
             rows, cols, self.coll_config.value_width,
@@ -71,6 +60,7 @@ class CollectiveNetwork(Component):
             hold_result=hold_result, mutation=mutation,
             integrity=self.coll_config.integrity,
             integrity_budget=self.coll_config.integrity_retry_budget)
+        self.lines = self.fabric.lines
         self._int_on = self.coll_config.integrity != "off"
         self.hardened = self.coll_config.watchdog_budget > 0
         self.fabric.guard = self.hardened
@@ -78,8 +68,6 @@ class CollectiveNetwork(Component):
         if hold_result:
             self.fabric.on_reduced = self._on_partial
 
-        self.active = False
-        self.active_cycles = 0
         self.collectives_completed = 0
         #: Per-episode bookkeeping.
         self._resumes: dict[int, Callable | None] = {}
@@ -91,32 +79,14 @@ class CollectiveNetwork(Component):
         #: when the open episode closes.
         self._pending: list[tuple[int, str, int, Callable | None]] = []
         self._kind: str | None = None
-        self._first_arrival: int | None = None
-        self._last_arrival: int | None = None
         #: Per-episode broadcast-width override (hierarchical clusters
         #: frame the chip-global width, not their own).
         self.bcast_width_fn: Callable[[str], int | None] | None = None
         #: Hierarchical hooks: partial ready / network gave up.
         self.on_reduced: Callable[[int], None] | None = None
         self.on_failover: Callable[[], None] | None = None
-        #: Whether a completed episode counts as a chip-level one.  A
-        #: hierarchical network's clusters do not: its top level
-        #: completes once per chip episode and counts it.
-        self.counts_episodes = True
 
-        # ---- fault handling (mirrors the barrier network) ------------ #
-        self.injector = None
-        self.fault_stats = stats
-        self.quarantined = False
-        self.detections = 0
-        self.retries = 0
-        self.failovers = 0
-        self._episode_retries = 0
-        self.flight = None
-        self.failover_reports: deque[str] = deque(maxlen=FAILOVER_REPORT_CAP)
-        self.failover_reports_dropped = 0
-
-        # ---- integrity ladder bookkeeping (bounded like the above) --- #
+        # ---- integrity ladder bookkeeping (bounded like failover_reports) #
         self.int_detections = 0
         self.int_round_retries = 0
         self.int_corrections = 0
@@ -146,15 +116,6 @@ class CollectiveNetwork(Component):
         self._episode_value: int | None = None
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_glines(self) -> int:
-        return len(self.fabric.lines)
-
-    @property
-    def lines(self) -> list[GLine]:
-        return self.fabric.lines
-
-    # ------------------------------------------------------------------ #
     # Arrival interface (called by the core / collective library)
     # ------------------------------------------------------------------ #
     def arrive(self, core_id: int, kind: str, value: int,
@@ -163,14 +124,11 @@ class CollectiveNetwork(Component):
         """Core *core_id* writes (kind, value) to its col_reg *delay*
         cycles from now; *resume* runs with the collective's result (or
         ``FAILOVER``)."""
-        self.schedule(self.gl_config.barreg_write_cycles + delay,
-                      self._set_colreg, core_id, kind, value, resume)
+        self._write(delay, self._set_colreg, core_id, kind, value, resume)
 
     def _set_colreg(self, core_id: int, kind: str, value: int,
                     resume) -> None:
-        if self.quarantined:
-            if resume is not None:
-                self.schedule(0, resume, FAILOVER)
+        if self._bounced(resume):
             return
         local = self._local_of[core_id]
         if local in self._resumes:
@@ -216,10 +174,9 @@ class CollectiveNetwork(Component):
         # been released, completion is bounded and the watchdog arms.
         if self.hardened and arrived + len(self._delivered_locals) \
                 == self.num_cores:
-            self._arm_watchdog()
-        if not self.active:
-            self.active = True
-            self.schedule(0, self._tick, priority=TICK_PRIORITY)
+            self._arm_watchdog(self.coll_config.watchdog_budget,
+                               self.collectives_completed)
+        self._wake()
 
     # ------------------------------------------------------------------ #
     # Clocking
@@ -249,24 +206,11 @@ class CollectiveNetwork(Component):
         # Integrity-hardened contexts free-run while an episode is open:
         # the verification logic is clocked even between arrivals, which
         # also keeps model-checker replays cycle-aligned.
-        if self.fabric.will_act() or (self._int_on
-                                      and self._kind is not None):
-            self.schedule(self.gl_config.line_latency, self._tick,
-                          priority=TICK_PRIORITY)
-        else:
-            self.active = False
+        self._clock_next(self.fabric.will_act()
+                         or (self._int_on and self._kind is not None))
 
     def _perturb(self, lines: list[GLine]) -> None:
         self.injector.perturb_glines(lines, now=self.now)
-
-    def _wire_probe(self, lines: list[GLine]) -> None:
-        tracing = self.tracer.enabled
-        for line in lines:
-            if tracing:
-                self.tracer.emit(self.now, line.name, obs_ev.GL_WIRE,
-                                 level=int(line.sampled_on()),
-                                 count=line.sample_count())
-            self.stats.gline_toggles += len(line._asserting)
 
     def _complete(self, deliveries: list[tuple[int, int]]) -> None:
         release_time = self.now + 1
@@ -357,10 +301,10 @@ class CollectiveNetwork(Component):
                              op=self._kind)
         self.fabric.open_with(value)
         if self.hardened:
-            self._arm_watchdog()
+            self._arm_watchdog(self.coll_config.watchdog_budget,
+                               self.collectives_completed)
         if not self.active and self.fabric.will_act():
-            self.active = True
-            self.schedule(0, self._tick, priority=TICK_PRIORITY)
+            self._clock()
 
     def abort_episode(self) -> None:
         """Upper level failed over: this cluster's episode completes in
@@ -377,15 +321,8 @@ class CollectiveNetwork(Component):
     # ------------------------------------------------------------------ #
     # Watchdog, retry and failover
     # ------------------------------------------------------------------ #
-    def _arm_watchdog(self) -> None:
-        token = (self.collectives_completed, self.failovers,
-                 self._episode_retries)
-        self.schedule(self.coll_config.watchdog_budget,
-                      self._watchdog_check, token)
-
     def _watchdog_check(self, token) -> None:
-        if token != (self.collectives_completed, self.failovers,
-                     self._episode_retries):
+        if token != self._watchdog_token(self.collectives_completed):
             return
         if not self._resumes or self.quarantined:
             return
@@ -399,25 +336,17 @@ class CollectiveNetwork(Component):
         self.detections += 1
         self.fault_stats.bump("faults.collective.detections")
         if self._episode_retries < self.coll_config.watchdog_retries:
-            self._episode_retries += 1
-            self.retries += 1
-            self.fault_stats.bump("faults.collective.retries")
-            if self.tracer.enabled:
-                self.tracer.emit(self.now, self.name,
-                                 obs_ev.GL_WATCHDOG_RETRY,
-                                 attempt=self._episode_retries,
-                                 arrived=len(self._resumes))
+            self._count_retry("faults.collective", len(self._resumes))
             # Operands are still latched in the col_regs: restart the
             # wire protocol; transients heal, permanent damage re-trips.
             self.fabric.reset_episode(keep_operands=True)
-            self.active = True
-            self.schedule(self.gl_config.line_latency, self._tick,
-                          priority=TICK_PRIORITY)
+            self._clock(self.gl_config.line_latency)
             # Re-arm while ANY core is still waiting: a retry taken
             # mid-broadcast (partial deliveries done) must stay guarded
             # or a re-wedged episode starves the remaining cores.
             if self.hardened and self._resumes:
-                self._arm_watchdog()
+                self._arm_watchdog(self.coll_config.watchdog_budget,
+                                   self.collectives_completed)
         else:
             self.failover()
 
@@ -483,10 +412,10 @@ class CollectiveNetwork(Component):
                 f"{self.now}; whole-op retry {self._episode_retries} "
                 f"after {delay} cycle backoff")
             self.fabric.reset_episode(keep_operands=True)
-            self.active = True
-            self.schedule(delay, self._tick, priority=TICK_PRIORITY)
+            self._clock(delay)
             if self.hardened and self._resumes:
-                self._arm_watchdog()
+                self._arm_watchdog(self.coll_config.watchdog_budget,
+                                   self.collectives_completed)
         else:
             self.int_failovers += 1
             self.fault_stats.bump("faults.integrity.failovers")
@@ -499,15 +428,6 @@ class CollectiveNetwork(Component):
                 f"{self.name}: integrity failover at cycle {self.now} "
                 f"after {self._episode_retries} whole-op retries")
             self.failover(reason="integrity")
-
-    def _log_failover(self, report: str) -> None:
-        if len(self.failover_reports) == self.failover_reports.maxlen:
-            self.failover_reports_dropped += 1
-            self.fault_stats.bump("faults.collective.reports_dropped")
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "collectives.failover.reports_dropped").inc()
-        self.failover_reports.append(report)
 
     def _log_integrity(self, message: str) -> None:
         if len(self.integrity_log) == self.integrity_log.maxlen:
@@ -524,27 +444,12 @@ class CollectiveNetwork(Component):
         software NoC all-reduce (same-cohort guarantee as the barrier)."""
         self.last_partial_delivery = bool(self._delivered_locals)
         self.last_parked = self.parked
-        self.quarantined = True
-        self.failovers += 1
-        self.fault_stats.bump("faults.collective.failovers")
         waiting = [self.core_ids[local] for local in sorted(self._resumes)]
-        if self.tracer.enabled:
-            self.tracer.emit(self.now, self.name, obs_ev.GL_REDUCE_FAILOVER,
-                             waiting=list(waiting), retries=self.retries,
-                             op=self._kind)
-        if self.flight is not None:
-            for cid in waiting:
-                self.flight.record(cid, self.now, self.name,
-                                   obs_ev.GL_REDUCE_FAILOVER,
-                                   retries=self.retries)
-        report = (f"{self.name}: {reason} FAILOVER at cycle {self.now} "
-                  f"after {self._episode_retries} retries; waiting cores "
-                  f"{waiting} bounced to software all-reduce")
-        if self.flight is not None:
-            tail = self.flight.format_tail(waiting)
-            if tail:
-                report += "\n" + tail
-        self._log_failover(report)
+        if self._quarantine(reason, waiting, "faults.collective",
+                            obs_ev.GL_REDUCE_FAILOVER, "all-reduce",
+                            op=self._kind) and self.metrics is not None:
+            self.metrics.counter(
+                "collectives.failover.reports_dropped").inc()
         release_time = self.now + 1
         # Cores already committed a hardware result for this episode?
         # Then its final value exists (deliveries broadcast one value)
@@ -581,18 +486,9 @@ class CollectiveNetwork(Component):
 
     # ------------------------------------------------------------------ #
     def set_injector(self, injector) -> None:
-        self.injector = injector
+        super().set_injector(injector)
         self.fabric.perturb_hook = (self._perturb if injector is not None
                                     else None)
-
-    def set_stats(self, stats: StatsRegistry) -> None:
-        self.stats = stats
-        self.fault_stats = stats
-
-    def set_obs(self, obs) -> None:
-        self.tracer = obs.tracer
-        self.metrics = obs.metrics
-        self.flight = obs.flight
 
     def fully_idle(self) -> bool:
         return not self._resumes and self.fabric.idle

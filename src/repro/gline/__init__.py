@@ -1,19 +1,21 @@
 """The G-line barrier network: the paper's primary contribution."""
 
 from .barrier import GLBarrier
+from .context import Hierarchy, SyncContext, partition, total_wires
 from .controllers import BarRegFile, MasterH, MasterV, SlaveH, SlaveV
 from .gline import GLine
-from .hierarchical import HierarchicalGLineBarrier, partition
-from .multibarrier import build_contexts, build_submesh_context, total_wires
+from .hierarchical import HierarchicalGLineBarrier
+from .multibarrier import build_contexts, build_submesh_context
 from .network import GLineBarrierNetwork, ReleaseGate
-from .timemux import SlotContext, build_time_multiplexed, physical_wires
+from .timemux import build_time_multiplexed
 
 __all__ = [
     "GLBarrier",
+    "Hierarchy", "SyncContext", "partition", "total_wires",
     "BarRegFile", "MasterH", "MasterV", "SlaveH", "SlaveV",
     "GLine",
-    "HierarchicalGLineBarrier", "partition",
-    "build_contexts", "build_submesh_context", "total_wires",
+    "HierarchicalGLineBarrier",
+    "build_contexts", "build_submesh_context",
     "GLineBarrierNetwork", "ReleaseGate",
-    "SlotContext", "build_time_multiplexed", "physical_wires",
+    "build_time_multiplexed",
 ]

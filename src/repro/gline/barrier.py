@@ -44,8 +44,9 @@ class GLBarrier(BarrierImpl):
                  fallback: BarrierImpl | None = None):
         """*networks*: one network per barrier context (space
         multiplexing extension; the base design has a single context).
-        Each entry must expose ``arrive(core_id, resume, delay=0)`` --
-        e.g. a :class:`~repro.gline.network.GLineBarrierNetwork` or a
+        Each entry is a
+        :class:`~repro.gline.network.GLineBarrierNetwork` (flat, sub-mesh
+        or time-multiplexed) or a
         :class:`~repro.gline.hierarchical.HierarchicalGLineBarrier`.
 
         *fallback* is the software barrier used to complete an episode
@@ -78,8 +79,7 @@ class GLBarrier(BarrierImpl):
             return
         if overhead:
             yield isa.Compute(overhead)
-        if (self._sw_cohort.get(barrier_id, 0)
-                or getattr(net, "quarantined", False)):
+        if self._sw_cohort.get(barrier_id, 0) or net.quarantined:
             # The network is quarantined (or this episode's cohort is
             # already completing over software); go software directly.
             yield from self._join_software(core, barrier_id, net)
@@ -96,12 +96,11 @@ class GLBarrier(BarrierImpl):
         # The software episode is fully subscribed once every core has
         # joined; the next episode decides hardware-vs-software afresh.
         self._sw_cohort[barrier_id] = \
-            0 if joined >= getattr(net, "num_cores", 0) else joined
+            0 if joined >= net.num_cores else joined
         yield from self.fallback.sequence(core, barrier_id)
 
     def describe(self) -> str:
-        net = self.networks[0]
-        wires = getattr(net, "num_glines", "?")
+        wires = self.networks[0].num_glines
         desc = (f"G-line hardware barrier ({len(self.networks)} context(s), "
                 f"{wires} G-lines per context, "
                 f"entry overhead {self.config.entry_overhead} cycles)")

@@ -22,36 +22,15 @@ barriers.
 
 from __future__ import annotations
 
-import math
-
-from ..common.errors import CapacityError, ConfigError
 from ..common.params import GLineConfig
 from ..common.stats import BarrierSample, StatsRegistry
 from ..faults import FAILOVER
-from ..sim.component import Component
 from ..sim.engine import Engine
+from .context import Hierarchy
 from .network import GLineBarrierNetwork, count_episode
 
 
-def partition(dim: int, max_dim: int) -> list[tuple[int, int]]:
-    """Split *dim* into contiguous chunks of at most *max_dim*.
-
-    Returns (start, length) pairs, as evenly sized as possible.
-    """
-    if dim < 1:
-        raise ConfigError("dimension must be >= 1")
-    nchunks = math.ceil(dim / max_dim)
-    base, extra = divmod(dim, nchunks)
-    out = []
-    start = 0
-    for i in range(nchunks):
-        length = base + (1 if i < extra else 0)
-        out.append((start, length))
-        start += length
-    return out
-
-
-class HierarchicalGLineBarrier(Component):
+class HierarchicalGLineBarrier(Hierarchy):
     """Two-level G-line barrier for meshes larger than 7x7.
 
     Exposes the same ``arrive(core_id, resume, delay=0)`` interface as
@@ -62,22 +41,11 @@ class HierarchicalGLineBarrier(Component):
     def __init__(self, engine: Engine, stats: StatsRegistry, rows: int,
                  cols: int, config: GLineConfig | None = None,
                  name: str = "hglnet"):
-        super().__init__(engine, stats, name)
-        self.config = config or GLineConfig()
-        self.rows = rows
-        self.cols = cols
-        max_dim = self.config.max_transmitters + 1
-        row_chunks = partition(rows, max_dim)
-        col_chunks = partition(cols, max_dim)
-        self.cluster_rows = len(row_chunks)
-        self.cluster_cols = len(col_chunks)
-        if self.cluster_rows > max_dim or self.cluster_cols > max_dim:
-            raise CapacityError(
-                f"{rows}x{cols} needs more than {max_dim}x{max_dim} "
-                f"clusters; a deeper hierarchy is not implemented")
+        super().__init__(engine, stats, rows, cols,
+                         config or GLineConfig(), name)
+        self.config = self.gl_config
 
         self.clusters: list[GLineBarrierNetwork] = []
-        self._cluster_of_core: dict[int, int] = {}
         #: Per-segment degradation (``config.segment_failover``): cores of
         #: a quarantined cluster gather in a software cohort that still
         #: joins the chip-wide barrier through the top-level network, so
@@ -89,29 +57,23 @@ class HierarchicalGLineBarrier(Component):
         self._leader_sent: list[bool] = []
         self._gate_open_phase: list[bool] = []
         self._sw_latency: list[int] = []
-        for ri, (r0, rlen) in enumerate(row_chunks):
-            for ci, (c0, clen) in enumerate(col_chunks):
-                ids = [(r0 + r) * cols + (c0 + c)
-                       for r in range(rlen) for c in range(clen)]
-                k = len(self.clusters)
-                net = GLineBarrierNetwork(
-                    engine, stats, rlen, clen, self.config,
-                    name=f"{name}.c{ri}_{ci}", core_ids=ids)
-                net.install_gate(lambda k=k: self._cluster_gathered(k))
-                net.on_all_released = lambda k=k: self._cluster_released(k)
-                self._top_resumes.append(
-                    lambda outcome=None, k=k: self._top_released(k, outcome))
-                self.clusters.append(net)
-                for cid in ids:
-                    self._cluster_of_core[cid] = k
-                self._sw_pending.append([])
-                self._leader_sent.append(False)
-                self._gate_open_phase.append(False)
-                # Software-segment combine penalty: a library-call entry
-                # plus a NoC-ish gather/scatter across the cluster's
-                # diameter, paid once on gather and once on release.
-                self._sw_latency.append(
-                    self.config.entry_overhead + 2 * (rlen + clen))
+        for k, (cl_name, rlen, clen, ids) in enumerate(self.grid):
+            net = GLineBarrierNetwork(
+                engine, stats, rlen, clen, self.config,
+                name=cl_name, core_ids=ids)
+            net.install_gate(lambda k=k: self._cluster_gathered(k))
+            net.on_all_released = lambda k=k: self._cluster_released(k)
+            self._top_resumes.append(
+                lambda outcome=None, k=k: self._top_released(k, outcome))
+            self.clusters.append(net)
+            self._sw_pending.append([])
+            self._leader_sent.append(False)
+            self._gate_open_phase.append(False)
+            # Software-segment combine penalty: a library-call entry
+            # plus a NoC-ish gather/scatter across the cluster's
+            # diameter, paid once on gather and once on release.
+            self._sw_latency.append(
+                self.config.entry_overhead + 2 * (rlen + clen))
 
         # Second level: one participant per cluster.
         self.top = GLineBarrierNetwork(
@@ -120,7 +82,7 @@ class HierarchicalGLineBarrier(Component):
         # Every level reports its wire toggles and faults.* counters to
         # the chip registry, but only this wrapper counts episodes, once
         # per chip episode.
-        for net in [*self.clusters, self.top]:
+        for net in self.levels:
             net.counts_episodes = False
 
         self.barriers_completed = 0
@@ -129,17 +91,6 @@ class HierarchicalGLineBarrier(Component):
         self._last_arrival: int | None = None
         self._released_clusters = 0
         self._release_time: int | None = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_glines(self) -> int:
-        """Total wires: all cluster networks + the inter-cluster level."""
-        return (sum(net.num_glines for net in self.clusters)
-                + self.top.num_glines)
-
-    @property
-    def num_cores(self) -> int:
-        return self.rows * self.cols
 
     # ------------------------------------------------------------------ #
     # Fault-handling plumbing (repro.faults)
@@ -159,46 +110,9 @@ class HierarchicalGLineBarrier(Component):
                 or any(net.quarantined for net in self.clusters))
 
     @property
-    def detections(self) -> int:
-        return (self.top.detections
-                + sum(net.detections for net in self.clusters))
-
-    @property
-    def retries(self) -> int:
-        return self.top.retries + sum(net.retries for net in self.clusters)
-
-    @property
     def failovers(self) -> int:
         return (self.top.failovers
                 + sum(net.failovers for net in self.clusters))
-
-    def set_injector(self, injector) -> None:
-        for net in [*self.clusters, self.top]:
-            net.injector = injector
-
-    def set_stats(self, stats: StatsRegistry) -> None:
-        """Chip ``reset_stats`` hook: every level moves to the new
-        registry."""
-        self.stats = stats
-        for net in [*self.clusters, self.top]:
-            net.set_stats(stats)
-
-    def set_obs(self, obs) -> None:
-        """Attach observability to every level of the hierarchy."""
-        self.tracer = obs.tracer
-        self.metrics = obs.metrics
-        for net in [*self.clusters, self.top]:
-            net.set_obs(obs)
-
-    @property
-    def failover_reports(self) -> list[str]:
-        return [r for net in [*self.clusters, self.top]
-                for r in net.failover_reports]
-
-    @property
-    def failover_reports_dropped(self) -> int:
-        return sum(net.failover_reports_dropped
-                   for net in [*self.clusters, self.top])
 
     # ------------------------------------------------------------------ #
     def arrive(self, core_id: int, resume, delay: int = 0) -> None:
@@ -213,7 +127,7 @@ class HierarchicalGLineBarrier(Component):
         if self._first_arrival is None:
             self._first_arrival = visible
         self._last_arrival = visible
-        k = self._cluster_of_core[core_id]
+        k = self.cluster_of[core_id]
         cluster = self.clusters[k]
         if not self.segment_mode:
             cluster.arrive(core_id, resume, delay)

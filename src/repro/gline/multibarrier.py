@@ -73,8 +73,3 @@ def build_submesh_context(engine: Engine, stats: StatsRegistry,
            for r in range(rows) for c in range(cols)]
     return GLineBarrierNetwork(engine, stats, rows, cols, config,
                                name=name, core_ids=ids)
-
-
-def total_wires(contexts) -> int:
-    """Physical wire budget across all contexts (reporting helper)."""
-    return sum(ctx.num_glines for ctx in contexts)

@@ -19,28 +19,16 @@ arbitrary meshes and arrival orders by property tests.
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..common.errors import CapacityError
 from ..common.params import GLineConfig
 from ..common.stats import BarrierSample, StatsRegistry
 from ..faults import FAILOVER
 from ..obs import events as obs_ev
-from ..sim.component import Component
 from ..sim.engine import Engine
+from .context import SyncContext
 from .controllers import BarRegFile, MasterH, MasterV, SlaveH, SlaveV
 from .gline import GLine
 from .recovery import RecoveryController
-
-#: Event priority for network ticks: same-cycle bar_reg writes (normal
-#: priority 0) become visible to the tick that samples that cycle.
-TICK_PRIORITY = 10
-
-#: Cap on retained failover post-mortems.  A flapping line under the
-#: recovery controller can fail over an unbounded number of times on a
-#: long run; like the PR 3 ListTracer fix, the reports keep the most
-#: recent window and count what they drop.
-FAILOVER_REPORT_CAP = 64
 
 
 def count_episode(stats: StatsRegistry, metrics, first: int, last: int,
@@ -77,53 +65,33 @@ class ReleaseGate:
         self._on_gathered()
 
 
-class GLineBarrierNetwork(Component):
+class GLineBarrierNetwork(SyncContext):
     """One barrier context over a dedicated G-line network."""
+
+    what = "G-line network"
+    scale_out = "repro.gline.hierarchical"
 
     def __init__(self, engine: Engine, stats: StatsRegistry, rows: int,
                  cols: int, config: GLineConfig | None = None,
                  name: str = "glnet",
-                 core_ids: list[int] | None = None):
-        super().__init__(engine, stats, name)
-        self.config = config or GLineConfig()
-        max_dim = self.config.max_transmitters + 1
-        if rows > max_dim or cols > max_dim:
-            raise CapacityError(
-                f"a single G-line network supports at most "
-                f"{max_dim}x{max_dim} cores (S-CSMA limit of "
-                f"{self.config.max_transmitters} transmitters per line); "
-                f"use repro.gline.hierarchical for {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        #: Chip-level core ids in row-major mesh order (defaults to 0..N-1;
-        #: the hierarchical extension passes cluster-local id maps).
-        self.core_ids = core_ids or list(range(rows * cols))
-        if len(self.core_ids) != rows * cols:
-            raise CapacityError("core_ids must cover the full mesh")
-        self.num_cores = rows * cols
-        self._local_of = {cid: i for i, cid in enumerate(self.core_ids)}
+                 core_ids: list[int] | None = None,
+                 slot: int | None = None):
+        super().__init__(engine, stats, rows, cols,
+                         config or GLineConfig(), name, core_ids, slot)
+        self.config = self.gl_config
 
         self.bar_regs = BarRegFile(self.num_cores)
         self._build()
 
-        self.active = False
-        self.active_cycles = 0
         self.barriers_completed = 0
         #: Hardware-level latency samples (last bar_reg write -> release),
         #: kept locally; chip-level episode samples (which include the
         #: library entry overhead) live in the shared StatsRegistry via
         #: repro.sync.accounting.BarrierAccounting.
         self.samples: list[BarrierSample] = []
-        #: Episode tracking for BarrierSample records.
-        self._first_arrival: int | None = None
-        self._last_arrival: int | None = None
         self._arrived = 0
         #: Optional external completion hook (hierarchical extension).
         self.on_all_released = None
-        #: Whether a completed episode counts as a chip-level one.  The
-        #: levels of a hierarchical barrier do not: its wrapper counts
-        #: each chip episode once.
-        self.counts_episodes = True
         #: Optional release gate (hierarchical extension).
         self._gate: ReleaseGate | None = None
 
@@ -132,29 +100,11 @@ class GLineBarrierNetwork(Component):
         #: detection.  Off by default, so a plain network schedules the
         #: exact same events it always did.
         self.hardened = self.config.watchdog_budget > 0
-        #: Set by CMP when a FaultPlan is enabled; perturbs the wires once
-        #: per clocked cycle.
-        self.injector = None
-        #: True once the watchdog gave up on this network; arrivals are
-        #: then bounced straight back with the FAILOVER outcome so the
-        #: barrier library completes them in software.
-        self.quarantined = False
-        self.detections = 0
-        self.retries = 0
-        self.failovers = 0
-        #: Barrier flight recorder (set via :meth:`set_obs`).
-        self.flight = None
-        #: Human-readable failover post-mortems (flight tail included when
-        #: the recorder is active); surfaced by resilience reports/tests.
-        #: Bounded: keeps the most recent window, counts drops.
-        self.failover_reports: deque[str] = deque(maxlen=FAILOVER_REPORT_CAP)
-        self.failover_reports_dropped = 0
         #: Self-healing re-admission state machine (repro.gline.recovery);
         #: None keeps failover terminal, exactly the PR 2 semantics.
         self.recovery: RecoveryController | None = (
             RecoveryController(self) if self.config.recovery_enabled
             else None)
-        self._episode_retries = 0
         self._spurious_release = False
         self._row_validated = False
         for mh in self.masters_h:
@@ -215,27 +165,16 @@ class GLineBarrierNetwork(Component):
         self.master_v.done = False
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_glines(self) -> int:
-        """Physical wire count -- 2*(rows+1) on a full 2D mesh."""
-        return len(self.lines)
-
-    # ------------------------------------------------------------------ #
     # Arrival interface (called by the core / barrier library)
     # ------------------------------------------------------------------ #
     def arrive(self, core_id: int, resume, delay: int = 0) -> None:
         """Core *core_id* executes ``mov 1, bar_reg`` *delay* cycles from
         now; *resume* runs when the hardware clears bar_reg (the release
         stage)."""
-        self.schedule(self.config.barreg_write_cycles + delay,
-                      self._set_barreg, core_id, resume)
+        self._write(delay, self._set_barreg, core_id, resume)
 
     def _set_barreg(self, core_id: int, resume) -> None:
-        if self.quarantined:
-            # The watchdog retired this network; the core completes this
-            # episode over the software fallback instead.
-            if resume is not None:
-                self.schedule(0, resume, FAILOVER)
+        if self._bounced(resume):
             return
         local = self._local_of[core_id]
         if self.bar_regs.is_set(local):
@@ -247,7 +186,7 @@ class GLineBarrierNetwork(Component):
             self._first_arrival = self.now
             if self.hardened and self.config.watchdog_episode_budget:
                 self._arm_watchdog(self.config.watchdog_episode_budget,
-                                   episode_level=True)
+                                   self.barriers_completed, True)
         self._last_arrival = self.now
         self._arrived += 1
         if self.tracer.enabled:
@@ -262,11 +201,9 @@ class GLineBarrierNetwork(Component):
             # All cores present: the gather+release must finish within the
             # budget or the watchdog intervenes.
             self._arm_watchdog(self.config.watchdog_budget,
-                               episode_level=False)
-        if not self.active:
-            self.active = True
-            # Tick for the cycle in which bar_reg became visible.
-            self.schedule(0, self._tick, priority=TICK_PRIORITY)
+                               self.barriers_completed, False)
+        # Tick for the cycle in which bar_reg became visible.
+        self._wake()
 
     # ------------------------------------------------------------------ #
     # Clocking
@@ -326,16 +263,11 @@ class GLineBarrierNetwork(Component):
             else:
                 self._gate.on_gathered()
 
-        tracing = self.tracer.enabled
+        # Post-guard levels: what the receivers actually sampled.
+        self._wire_probe(self.lines)
         for line in self.lines:
-            if tracing:
-                # Post-guard levels: what the receivers actually sampled.
-                self.tracer.emit(self.now, line.name, obs_ev.GL_WIRE,
-                                 level=int(line.sampled_on()),
-                                 count=line.sample_count())
-            self.stats.gline_toggles += len(line._asserting)
             line.end_cycle()
-        if tracing:
+        if self.tracer.enabled:
             self.tracer.emit(
                 self.now, self.name, obs_ev.GL_FSM,
                 flags=[mh.flag for mh in self.masters_h],
@@ -350,15 +282,7 @@ class GLineBarrierNetwork(Component):
             self._handle_fault()
             return
 
-        if self._will_act():
-            self.schedule(self.config.line_latency, self._tick,
-                          priority=TICK_PRIORITY)
-        else:
-            # Dormant: state is held (Scnt etc. persist) but nothing can
-            # change until another bar_reg write reactivates the clock.
-            # This both models the paper's controller power-gating and
-            # keeps long straggler waits event-free.
-            self.active = False
+        self._clock_next(self._will_act())
 
     def _complete_release(self, released: list) -> None:
         if self.hardened and len(released) != self._arrived:
@@ -491,17 +415,8 @@ class GLineBarrierNetwork(Component):
             self.master_v.fault_suspected = False
         return found
 
-    def _arm_watchdog(self, budget: int, episode_level: bool) -> None:
-        # The token pins the timer to this exact (episode, retry) attempt;
-        # completion, a retry or a failover each invalidate it, so stale
-        # timers expire silently.
-        token = (self.barriers_completed, self.failovers,
-                 self._episode_retries)
-        self.schedule(budget, self._watchdog_check, token, episode_level)
-
     def _watchdog_check(self, token, episode_level: bool) -> None:
-        if token != (self.barriers_completed, self.failovers,
-                     self._episode_retries):
+        if token != self._watchdog_token(self.barriers_completed):
             return
         if self._arrived == 0 or self.quarantined:
             return
@@ -534,14 +449,7 @@ class GLineBarrierNetwork(Component):
             self.failover(reason="probation watchdog")
             return
         if self._episode_retries < self.config.watchdog_retries:
-            self._episode_retries += 1
-            self.retries += 1
-            self.fault_stats.bump("faults.watchdog.retries")
-            if self.tracer.enabled:
-                self.tracer.emit(self.now, self.name,
-                                 obs_ev.GL_WATCHDOG_RETRY,
-                                 attempt=self._episode_retries,
-                                 arrived=self._arrived)
+            self._count_retry("faults.watchdog", self._arrived)
             if self.flight is not None:
                 for cid in self._waiting_core_ids():
                     self.flight.record(cid, self.now, self.name,
@@ -551,12 +459,10 @@ class GLineBarrierNetwork(Component):
             # bar_regs are still set, so the slaves immediately re-signal;
             # a transient fault heals, a permanent one re-trips the
             # watchdog until the retry budget runs out.
-            self.active = True
-            self.schedule(self.config.line_latency, self._tick,
-                          priority=TICK_PRIORITY)
+            self._clock(self.config.line_latency)
             if self._arrived == self.num_cores:
                 self._arm_watchdog(self.config.watchdog_budget,
-                                   episode_level=False)
+                                   self.barriers_completed, False)
         else:
             self.failover()
 
@@ -595,31 +501,8 @@ class GLineBarrierNetwork(Component):
         With a recovery controller attached the quarantine is not
         terminal: the controller schedules idle-cycle probes and may
         re-admit the network (see :mod:`repro.gline.recovery`)."""
-        self.quarantined = True
-        self.failovers += 1
-        self.fault_stats.bump("faults.watchdog.failovers")
-        waiting = self._waiting_core_ids()
-        if self.tracer.enabled:
-            self.tracer.emit(self.now, self.name, obs_ev.GL_WATCHDOG_FAILOVER,
-                             waiting=list(waiting), retries=self.retries)
-        if self.flight is not None:
-            for cid in waiting:
-                self.flight.record(cid, self.now, self.name,
-                                   obs_ev.GL_WATCHDOG_FAILOVER,
-                                   retries=self.retries)
-        report = (f"{self.name}: {reason} FAILOVER at cycle {self.now} "
-                  f"after {self._episode_retries} retries; waiting cores "
-                  f"{waiting} bounced to software fallback")
-        if self.flight is not None:
-            # Recorder tail only when observability is on -- the base
-            # message format stays stable for disabled runs.
-            tail = self.flight.format_tail(waiting)
-            if tail:
-                report += "\n" + tail
-        if len(self.failover_reports) == self.failover_reports.maxlen:
-            self.failover_reports_dropped += 1
-            self.fault_stats.bump("faults.watchdog.reports_dropped")
-        self.failover_reports.append(report)
+        self._quarantine(reason, self._waiting_core_ids(), "faults.watchdog",
+                         obs_ev.GL_WATCHDOG_FAILOVER, "fallback")
         self._reset_fsm()
         resumes = [self.bar_regs.clear(local)
                    for local in range(self.num_cores)
@@ -646,27 +529,11 @@ class GLineBarrierNetwork(Component):
 
     # ------------------------------------------------------------------ #
     def set_injector(self, injector) -> None:
-        self.injector = injector
+        super().set_injector(injector)
         # Heal-mode injectors watch this network's recovery state to
         # decide whether their fault is currently active.
         if injector is not None and hasattr(injector, "net"):
             injector.net = self
-
-    @property
-    def fault_stats(self) -> StatsRegistry:
-        """Where ``faults.*`` counters go: the chip registry, as for
-        every level of a hierarchical barrier."""
-        return self.stats
-
-    def set_stats(self, stats: StatsRegistry) -> None:
-        """Re-point the measurement sink (chip ``reset_stats`` hook)."""
-        self.stats = stats
-
-    def set_obs(self, obs) -> None:
-        """Attach an :class:`~repro.obs.Observability` bundle."""
-        self.tracer = obs.tracer
-        self.metrics = obs.metrics
-        self.flight = obs.flight
 
     # ------------------------------------------------------------------ #
     # Hierarchical-mode gating
@@ -692,10 +559,9 @@ class GLineBarrierNetwork(Component):
             # Fresh budget for the release pipeline: the gate-parked wait
             # (upper-level coordination) is excluded from the watchdog.
             self._arm_watchdog(self.config.watchdog_budget,
-                               episode_level=False)
+                               self.barriers_completed, False)
         if not self.active and self._will_act():
-            self.active = True
-            self.schedule(0, self._tick, priority=TICK_PRIORITY)
+            self._clock()
 
     def fully_idle(self) -> bool:
         """All controllers in their initial state and no bar_reg set."""

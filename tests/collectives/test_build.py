@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from repro.collectives import ops
-from repro.collectives.build import build_collective_contexts, total_wires
+from repro.collectives import ops, total_wires
+from repro.collectives.build import build_collective_contexts
 from repro.collectives.config import CollectiveConfig
 from repro.collectives.hierarchical import HierarchicalCollectiveNetwork
 from repro.collectives.network import CollectiveNetwork

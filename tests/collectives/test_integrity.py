@@ -20,7 +20,7 @@ from repro.common.stats import StatsRegistry
 from repro.faults import FAILOVER
 from repro.gline.integrity import (INTEGRITY_MODES, RESIDUE_MOD,
                                    full_jitter, majority, residue_of)
-from repro.gline.network import FAILOVER_REPORT_CAP
+from repro.gline.context import FAILOVER_REPORT_CAP
 from repro.sim.engine import Engine
 
 MODES = [m for m in INTEGRITY_MODES if m != "off"]
@@ -297,8 +297,8 @@ def test_failover_reports_are_capped_with_drop_counter():
     cc = CollectiveConfig(enabled=True)
     net = CollectiveNetwork(eng, stats, 2, 2, GLineConfig(), cc)
     assert net.failover_reports.maxlen == FAILOVER_REPORT_CAP
-    for i in range(FAILOVER_REPORT_CAP + 5):
-        net._log_failover(f"report {i}")
+    for _ in range(FAILOVER_REPORT_CAP + 5):
+        net.failover()
     assert len(net.failover_reports) == FAILOVER_REPORT_CAP
     assert net.failover_reports_dropped == 5
     assert stats.counters["faults.collective.reports_dropped"] == 5

@@ -1,0 +1,92 @@
+"""Every G-line sync context answers the same calls.
+
+Barrier contexts (flat, sub-mesh, hierarchical, time-multiplexed) and
+collective contexts (flat, hierarchical, time-multiplexed) are all
+network objects with one lifecycle: the chip threads its stats
+registry, observability bundle and fault injector through each of them
+the same way, and each reports its fault state and wires the same way.
+"""
+
+import pytest
+
+from repro.collectives import (CollectiveConfig, build_collective_contexts,
+                               total_wires as collective_total_wires)
+from repro.common.params import GLineConfig
+from repro.common.stats import StatsRegistry
+from repro.gline import (Hierarchy, build_contexts, build_submesh_context,
+                         build_time_multiplexed, total_wires)
+from repro.obs import Observability
+from repro.sim.engine import Engine
+
+
+def collectives(engine, stats, rows, cols, **cc):
+    return build_collective_contexts(
+        engine, stats, rows, cols,
+        coll_config=CollectiveConfig(enabled=True, **cc))
+
+
+#: kind -> builder of that kind's contexts: flat, sub-mesh and slotted
+#: ones on a 4x4 mesh (the sub-mesh inside an 8-column chip),
+#: hierarchical ones on 8x8.
+KINDS = {
+    "barrier-flat": lambda e, s: build_contexts(e, s, 4, 4),
+    "barrier-submesh": lambda e, s: [
+        build_submesh_context(e, s, 8, 0, 4, 4, 4)],
+    "barrier-hierarchical": lambda e, s: build_contexts(e, s, 8, 8),
+    "barrier-2slot": lambda e, s: build_time_multiplexed(
+        e, s, 4, 4, num_slots=2),
+    "collective-flat": lambda e, s: collectives(e, s, 4, 4),
+    "collective-hierarchical": lambda e, s: collectives(e, s, 8, 8),
+    "collective-2slot": lambda e, s: collectives(e, s, 4, 4,
+                                                 time_slots=2),
+}
+
+
+def build(kind):
+    return KINDS[kind](Engine(), StatsRegistry(64))
+
+
+def levels(ctx):
+    """The networks *ctx* is made of: every level of a hierarchy."""
+    return ctx.levels if isinstance(ctx, Hierarchy) else [ctx]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_sinks_reach_every_level(kind):
+    for ctx in build(kind):
+        stats = StatsRegistry(64)
+        obs = Observability.full(64)
+        injector = object()
+        ctx.set_stats(stats)
+        ctx.set_obs(obs)
+        ctx.set_injector(injector)
+        for net in levels(ctx):
+            assert net.stats is stats
+            assert net.tracer is obs.tracer
+            assert net.metrics is obs.metrics
+            assert net.flight is obs.flight
+            assert net.injector is injector
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_fault_state_reads_the_same(kind):
+    for ctx in build(kind):
+        assert ctx.quarantined is False
+        assert (ctx.detections, ctx.retries) == (0, 0)
+        assert list(ctx.failover_reports) == []
+        assert ctx.failover_reports_dropped == 0
+        assert ctx.num_cores in (16, 64)
+        assert ctx.num_glines > 0
+
+
+def test_total_wires_counts_shared_slots_once():
+    assert collective_total_wires is total_wires
+    one = build("barrier-flat")[0].num_glines
+    assert total_wires(build("barrier-2slot")) == one
+    assert total_wires(build_contexts(
+        Engine(), StatsRegistry(16), 4, 4,
+        GLineConfig(num_barriers=2))) == 2 * one
+    one = build("collective-flat")[0].num_glines
+    assert total_wires(build("collective-2slot")) == one
+    assert total_wires(collectives(Engine(), StatsRegistry(16), 4, 4,
+                                   num_contexts=2)) == 2 * one

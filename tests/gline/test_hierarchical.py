@@ -6,7 +6,8 @@ from repro.chip.cmp import CMP
 from repro.common.errors import CapacityError, ConfigError
 from repro.common.params import CMPConfig, GLineConfig
 from repro.common.stats import StatsRegistry
-from repro.gline.hierarchical import HierarchicalGLineBarrier, partition
+from repro.gline import partition
+from repro.gline.hierarchical import HierarchicalGLineBarrier
 from repro.obs import MetricsRegistry, Observability
 from repro.sim.engine import Engine
 from repro.workloads.synthetic import SyntheticBarrierWorkload

@@ -7,9 +7,9 @@ from repro.common.errors import CapacityError, ConfigError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.cpu import isa
+from repro.gline import total_wires
 from repro.gline.hierarchical import HierarchicalGLineBarrier
-from repro.gline.multibarrier import (build_contexts, build_submesh_context,
-                                      total_wires)
+from repro.gline.multibarrier import build_contexts, build_submesh_context
 from repro.gline.network import GLineBarrierNetwork
 from repro.sim.engine import Engine
 

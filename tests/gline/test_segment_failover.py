@@ -118,7 +118,7 @@ def _slots(**cfg):
 
 def test_slot_fault_degrades_only_that_context():
     engine, _, ctxs = _slots(**RECOVERY)
-    ctxs[0].net.lines[0].stuck = 0
+    ctxs[0].lines[0].stuck = 0
     bad = _arrive_all(engine, ctxs[0], 4)
     assert all(a == (FAILOVER,) for a in bad.values())
     assert ctxs[0].quarantined
@@ -131,11 +131,11 @@ def test_slot_fault_degrades_only_that_context():
 
 def test_healed_slot_is_readmitted():
     engine, stats, ctxs = _slots(**RECOVERY)
-    ctxs[0].net.lines[0].stuck = 0
+    ctxs[0].lines[0].stuck = 0
     bad = _arrive_all(engine, ctxs[0], 4, drain=False)
     assert all(a == (FAILOVER,) for a in bad.values())
     assert ctxs[0].recovery.state == DEGRADED
-    ctxs[0].net.lines[0].stuck = None
+    ctxs[0].lines[0].stuck = None
     engine.run()
     assert ctxs[0].recovery.state == PROBATION
     good = _arrive_all(engine, ctxs[0], 4)

@@ -1,13 +1,18 @@
 """Time-multiplexed barrier context tests."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.cpu import isa
+from repro.gline import total_wires
 from repro.gline.barrier import GLBarrier
-from repro.gline.timemux import build_time_multiplexed, physical_wires
+from repro.gline.timemux import build_time_multiplexed
+from repro.obs import Observability
+from repro.obs.events import GL_ARRIVE
 from repro.sim.engine import Engine
 
 from helpers import make_chip, run_uniform
@@ -68,7 +73,7 @@ def test_two_contexts_interleave_on_shared_wires():
 
 def test_physical_wire_budget_is_single_network():
     _, ctxs = build(4, 4, num_slots=4)
-    assert physical_wires(ctxs) == 10  # one 16-core network, not four
+    assert total_wires(ctxs) == 10  # one 16-core network, not four
 
 
 def test_invalid_slot_count():
@@ -78,7 +83,8 @@ def test_invalid_slot_count():
                                num_slots=0)
 
 
-def test_on_chip_via_glbarrier():
+def timemux_chip():
+    """A 4-core chip whose GL barrier runs on two slot contexts."""
     cfg = CMPConfig.for_cores(4)
     chip = CMP(cfg, barrier="gl")
     ctxs = build_time_multiplexed(chip.engine, chip.stats, 2, 2,
@@ -86,6 +92,11 @@ def test_on_chip_via_glbarrier():
     chip.barrier_impl = GLBarrier(ctxs, cfg.gline)
     for tile in chip.tiles:
         tile.core.barrier_binding = chip.barrier_impl
+    return chip, ctxs
+
+
+def test_on_chip_via_glbarrier():
+    chip, ctxs = timemux_chip()
 
     def prog(cid):
         yield isa.BarrierOp(0)
@@ -96,3 +107,19 @@ def test_on_chip_via_glbarrier():
     assert ctxs[0].barriers_completed == 2
     assert ctxs[1].barriers_completed == 1
     assert chip.stats.num_barriers() == 3
+
+
+def test_observed_chip_sees_every_slot():
+    # An observed chip counts and traces a time-multiplexed barrier's
+    # episodes as it does a flat one's.
+    chip, _ = timemux_chip()
+    obs = Observability.full(chip.num_cores)
+    chip.set_obs(obs)
+    result = run_uniform(chip, lambda cid: iter([isa.BarrierOp(0),
+                                                 isa.BarrierOp(1)]))
+    barriers = chip.stats.num_barriers()
+    assert barriers == 2
+    assert result.metrics["counters"].get("gline.episodes") == barriers
+    arrivals = Counter(e.detail["core"] for e in obs.tracer.events
+                       if e.kind == GL_ARRIVE)
+    assert arrivals == {cid: barriers for cid in range(chip.num_cores)}
