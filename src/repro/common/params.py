@@ -266,19 +266,6 @@ class GLineConfig(_SerializableConfig):
         _require(self.recovery_max_flaps >= 1,
                  "recovery_max_flaps must be >= 1")
 
-    def lines_required(self, rows: int, cols: int) -> int:
-        """Total G-lines for one barrier on an ``rows x cols`` mesh.
-
-        Two per row (transmit + release) plus two for the first column --
-        the paper's ``2 * (sqrt(NumCores) + 1)`` for square meshes,
-        generalized to ``2 * (rows + 1)`` (with no vertical pair needed when
-        there is a single row).
-        """
-        _require(rows >= 1 and cols >= 1, "mesh dims must be >= 1")
-        vertical = 2 if rows > 1 else 0
-        horizontal = 2 * rows if cols > 1 else 0
-        return (horizontal + vertical) * self.num_barriers
-
 
 @dataclass(frozen=True)
 class CoreConfig(_SerializableConfig):

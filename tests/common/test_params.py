@@ -5,6 +5,9 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.params import (CacheConfig, CMPConfig, CoreConfig,
                                  GLineConfig, NocConfig, mesh_dims)
+from repro.common.stats import StatsRegistry
+from repro.gline import build_contexts, total_wires
+from repro.sim.engine import Engine
 
 
 # ---------------------------------------------------------------------- #
@@ -69,24 +72,27 @@ def test_noc_validation():
 # ---------------------------------------------------------------------- #
 # GLineConfig
 # ---------------------------------------------------------------------- #
+def wires(rows, cols, g=GLineConfig()):
+    """G-lines of the barrier contexts *g* builds on a rows x cols mesh."""
+    return total_wires(build_contexts(Engine(), StatsRegistry(rows * cols),
+                                      rows, cols, g))
+
+
 def test_gline_wire_budget_matches_paper():
     # The paper: 2*(sqrt(N)+1) G-lines per barrier; 10 for a 16-core CMP.
-    g = GLineConfig()
-    assert g.lines_required(4, 4) == 10
-    assert g.lines_required(2, 2) == 6
-    assert g.lines_required(7, 7) == 16
+    assert wires(4, 4) == 10
+    assert wires(2, 2) == 6
+    assert wires(7, 7) == 16
 
 
 def test_gline_wires_degenerate_meshes():
-    g = GLineConfig()
-    assert g.lines_required(1, 4) == 2   # one row: no vertical pair
-    assert g.lines_required(4, 1) == 2   # one column: only the vertical pair
-    assert g.lines_required(1, 1) == 0
+    assert wires(1, 4) == 2   # one row: no vertical pair
+    assert wires(4, 1) == 2   # one column: only the vertical pair
+    assert wires(1, 1) == 0
 
 
 def test_gline_wires_scale_with_contexts():
-    g = GLineConfig(num_barriers=3)
-    assert g.lines_required(4, 4) == 30
+    assert wires(4, 4, GLineConfig(num_barriers=3)) == 30
 
 
 def test_gline_validation():
