@@ -48,10 +48,35 @@ def test_explicit_values_and_reference():
     assert explore_collective(model).ok
 
 
+#: The checker's census: (rows, cols, kind, model options) -> (states,
+#: transitions, violated property or None).  The fabric the checker
+#: drives is the simulator's, so these move only if the fabric's
+#: reachable states do; the stuck-high release line (a violation, found
+#: after the same 361 transitions) pins what a forced wire does to the
+#: stage it crosses.
+CENSUS = [
+    ((2, 4, "sum", dict(width=2)), (540, 2846, None)),
+    ((2, 3, "min", dict(width=2)), (288, 1523, None)),
+    ((3, 3, "max", dict(width=2)), (5616, 27683, None)),
+    ((2, 2, "sum", dict(width=2, integrity="echo")), (156, 1681, None)),
+    ((2, 2, "sum", dict(width=2, integrity="echo", adversary_budget=1)),
+     (852, 11995, None)),
+    ((2, 3, "sum", dict(width=2, stuck={"relH0": 1})),
+     (0, 361, P_COLL_VALUE)),
+]
+
+
 def test_state_counts_are_deterministic():
     a = explore_collective(CollectiveModel(2, 2, "sum", width=2))
     b = explore_collective(CollectiveModel(2, 2, "sum", width=2))
     assert (a.states, a.transitions) == (b.states, b.transitions)
+    for (rows, cols, kind, options), pinned in CENSUS:
+        result = explore_collective(
+            CollectiveModel(rows, cols, kind, **options))
+        ce = result.counterexample
+        assert (result.states, result.transitions,
+                ce.prop if ce is not None else None) == pinned, \
+            (rows, cols, kind, options)
 
 
 # ---------------------------------------------------------------------- #
