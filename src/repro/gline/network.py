@@ -210,6 +210,7 @@ class GLineBarrierNetwork(SyncContext):
     # ------------------------------------------------------------------ #
     def _tick(self) -> None:
         self.active_cycles += 1
+        self._next_tick = None
         released: list = []
 
         # Assert phase: drive G-lines from start-of-cycle state.  MasterV
@@ -518,7 +519,6 @@ class GLineBarrierNetwork(SyncContext):
         if self._gate is not None:
             self._gate.is_open = False
             self._gate.reported = False
-        self.active = False
         if self.recovery is not None:
             self.recovery.on_failover()
 

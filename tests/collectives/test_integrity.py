@@ -487,6 +487,56 @@ def test_hierarchical_chip_survives_seeded_miscounts():
         assert row["detections"] > 0, (mode, row)
 
 
+#: Sweep points whose failovers, taken by a sibling cluster's abort or
+#: by a watchdog expiry while the integrity free-run clocked the
+#: context, once left a tick scheduled on the closed episode (it failed
+#: with "ticking a closed episode").
+CLOSED_EPISODE_POINTS = [
+    (64, "off", 0.05, 1), (64, "echo", 0.08, 2), (64, "residue", 0.05, 11),
+    (64, "residue", 0.08, 11), (64, "residue", 0.08, 1),
+    (64, "vote", 0.02, 1), (64, "vote", 0.05, 1), (64, "vote", 0.05, 2),
+]
+
+
+def _sdc_chip(cores, mode, rate, seed):
+    from repro.chip.cmp import CMP
+    from repro.experiments.integrity import integrity_config
+    from repro.gline.context import Hierarchy
+
+    chip = CMP(integrity_config(cores, mode, rate, seed), barrier="gl")
+    ticks = []
+    for ctx in chip.collective_impl.networks:
+        for net in ctx.levels if isinstance(ctx, Hierarchy) else [ctx]:
+            def logged(net=net, tick=net._tick):
+                ticks.append((net.name, net.engine.now))
+                tick()
+            net._tick = logged
+    return chip, ticks
+
+
+@pytest.mark.parametrize("cores,mode,rate,seed", CLOSED_EPISODE_POINTS)
+def test_failover_between_ticks_leaves_no_tick_behind(cores, mode, rate,
+                                                      seed):
+    from repro.workloads.collective import CollectiveSDCWorkload
+
+    chip, ticks = _sdc_chip(cores, mode, rate, seed)
+    chip.run(CollectiveSDCWorkload(iterations=20))
+    assert chip.stats.counters["faults.collective.failovers"] > 0
+    assert len(ticks) == len(set(ticks))
+
+
+def test_watchdog_retry_never_ticks_a_context_twice_a_cycle():
+    # 16 cores, vote, 0.05, seed 11: watchdog retries taken while the
+    # clock ran once started a second tick chain (292 cycles ticked
+    # twice).
+    from repro.workloads.collective import CollectiveSDCWorkload
+
+    chip, ticks = _sdc_chip(16, "vote", 0.05, 11)
+    chip.run(CollectiveSDCWorkload(iterations=20))
+    assert chip.stats.counters["faults.collective.retries"] > 0
+    assert len(ticks) == len(set(ticks))
+
+
 # ---------------------------------------------------------------------- #
 # Trace audit: scripts/validate_trace.py --collective over an integrity
 # recovery episode

@@ -90,3 +90,60 @@ def test_total_wires_counts_shared_slots_once():
     assert total_wires(build("collective-2slot")) == one
     assert total_wires(collectives(Engine(), StatsRegistry(16), 4, 4,
                                    num_contexts=2)) == 2 * one
+
+
+# ---------------------------------------------------------------------- #
+# One tick chain per context
+# ---------------------------------------------------------------------- #
+def _tick_log(net):
+    """Record the cycle of every tick *net* runs."""
+    cycles = []
+    tick = net._tick
+
+    def logged():
+        cycles.append(net.engine.now)
+        tick()
+    net._tick = logged
+    return cycles
+
+
+def _arrive_all(engine, net, cores, collective):
+    for cid in range(cores):
+        if collective:
+            engine.schedule(cid % 3, net.arrive, cid, "sum", cid + 1, None)
+        else:
+            engine.schedule(cid % 3, net.arrive, cid, None)
+
+
+@pytest.mark.parametrize("kind", ["barrier-flat", "collective-flat"])
+def test_failover_outside_the_tick_cancels_the_scheduled_tick(kind):
+    # A watchdog or an upper hierarchy level can fail a context over
+    # while its clock runs; the tick it had scheduled must not run on
+    # the closed episode.
+    engine = Engine()
+    net = KINDS[kind](engine, StatsRegistry(16))[0]
+    ticks = _tick_log(net)
+    _arrive_all(engine, net, 16, kind.startswith("collective"))
+    engine.run(until=4)
+    assert net.active
+    engine.schedule(0, net.failover, "test")
+    engine.run(until=5)
+    assert ticks[-1] == 4
+    engine.run()
+    assert ticks[-1] == 4 and not net.active
+
+
+def test_watchdog_retry_while_clocked_keeps_one_tick_chain():
+    # An integrity-hardened collective free-runs its clock while the
+    # episode is open; a watchdog expiry then retries with the clock
+    # running, and the retry must restart the one chain, not add one.
+    engine = Engine()
+    cc = CollectiveConfig(enabled=True, value_width=8, integrity="echo",
+                          watchdog_budget=20, watchdog_retries=2)
+    net = build_collective_contexts(engine, StatsRegistry(16), 4, 4,
+                                    coll_config=cc)[0]
+    ticks = _tick_log(net)
+    _arrive_all(engine, net, 16, True)
+    engine.run()
+    assert net.retries == 2 and net.quarantined
+    assert len(ticks) == len(set(ticks))
