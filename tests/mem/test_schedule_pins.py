@@ -1,8 +1,9 @@
 """Pins of the coherence and synchronization event schedule.
 
 Each case runs a coherence-heavy or G-line synchronization scenario
-(flat, hierarchical and time-multiplexed barriers and all-reduces, and
-watchdog, segment and collective failovers) on a fresh chip and pins
+(flat, hierarchical and time-multiplexed barriers and all-reduces,
+watchdog, segment and collective failovers, and seeded wire faults on a
+hardened barrier) on a fresh chip and pins
 four things: how many events the engine executed, a sha256 of its
 ``(time, priority, seq)`` order log, a sha256 of the canonical JSON of
 ``stats.to_dict()``, and the simulated cycles.  Callback names are left
@@ -20,6 +21,8 @@ from repro.chip.cmp import CMP
 from repro.collectives.config import CollectiveConfig
 from repro.common.params import CMPConfig
 from repro.cpu import isa
+from repro.experiments.runner import paper_config
+from repro.faults import FaultPlan
 from repro.gline.barrier import GLBarrier
 from repro.gline.timemux import build_time_multiplexed
 from repro.workloads import Kernel3Workload
@@ -201,6 +204,40 @@ def _allreduce16_failover():
     return chip, result.total_cycles
 
 
+def _gl64_flat_stress():
+    # The evaluation config raises the S-CSMA bound to 7, so 8x8 runs on
+    # one flat network: eight rows whose arrivals reach the masters at
+    # scattered cycles.
+    chip = CMP(paper_config(64), barrier="gl")
+    chip.engine.order_log = []
+    workload = StressWorkload(ops_per_core=12, barriers=3, locks=8, seed=5)
+    result = chip.run(workload)
+    workload.verify(chip)
+    net = chip.barrier_impl.networks[0]
+    assert (net.rows, net.cols, net.active_cycles) == (8, 8, 214)
+    return chip, result.total_cycles
+
+
+def _gl16_hardened_faults():
+    # Seeded glitches and S-CSMA miscounts on a hardened 4x4 network:
+    # spurious releases, watchdog retries and one failover.
+    cfg = CMPConfig.for_cores(16)
+    cfg = cfg.with_(gline=replace(cfg.gline, watchdog_budget=64,
+                                  watchdog_retries=2),
+                    faults=FaultPlan(seed=3, gline_glitch_rate=0.01,
+                                     scsma_miscount_rate=0.01))
+    chip = CMP(cfg, barrier="gl")
+    chip.engine.order_log = []
+    workload = StressWorkload(ops_per_core=20, barriers=6, locks=4, seed=3)
+    result = chip.run(workload)
+    workload.verify(chip)
+    counters = chip.stats.counters
+    assert [counters[f"faults.{k}"] for k in (
+        "gline.miscounts", "gline.glitches", "gline.spurious_releases",
+        "watchdog.retries", "watchdog.failovers")] == [14, 7, 4, 7, 1]
+    return chip, result.total_cycles
+
+
 #: name -> (scenario, events, cycles, order-log sha256, stats sha256).
 #: Cycles and stats hashes date from before the coherence fast path
 #: (coherence pins) and the sync-op fast path (synchronization pins).
@@ -211,7 +248,9 @@ def _allreduce16_failover():
 #: hierarchical builds began to count each chip episode once and every
 #: level's wire toggles.  The time-multiplexed and failover pins were
 #: added as they were, before the barrier and collective networks began
-#: to share one engine adapter.
+#: to share one engine adapter.  The flat 8x8 stress and hardened fault
+#: pins were added as they were, before the barrier network's tick began
+#: to visit only the stages that can change.
 PINS = {
     "csw16": (_csw16, 93209, 128197,
         "212c145aefb473920796aecee2c7cd7f39f2a629a240eabce3c9eff100c4a55c",
@@ -258,6 +297,12 @@ PINS = {
     "allreduce16-failover": (_allreduce16_failover, 6930, 8008,
         "b363017986822dac7cc7a3aa228bd57f630021492e6a575b571877ba0e65dda3",
         "523929af685b2f93cc787766e982ef25ad732de2d5481a422bb17df92a72eeef"),
+    "gl64-flat-stress": (_gl64_flat_stress, 21918, 14378,
+        "b3db363a1a522281c0d39a41a0b5789b7f4722b257faf60abe073f4af15f1238",
+        "ff9bcc93480405a8d0c361c0d60a7d3845c07630f94717f1006fdcb907ef79e4"),
+    "gl16-hardened-faults": (_gl16_hardened_faults, 28649, 40351,
+        "5068e23e07c981fdd6f81e3a59f195fded1ccba5c61849f8578f378ee7864bf8",
+        "708566d16a56ee02783488d01a5cd568bc16e4cc14c4e2b62fb9795f691d5cee"),
 }
 
 
