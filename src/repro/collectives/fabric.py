@@ -28,11 +28,13 @@ hook), would leave the tick exactly as it entered it.
 Stages meet only at the orchestration hand-offs and at the entry points
 (:meth:`begin`, :meth:`arrive_local`, :meth:`open_with`,
 :meth:`reset_episode`, :meth:`restore`), which mark the stages they
-touch; the awake set is recomputed for those stages alone.  Wire faults
-reach the stages through :attr:`perturb_hook`, inside the tick.  A
-``stuck`` level written directly on a wire is seen from the next entry
-point; a one-cycle fault written directly (``glitch_force``,
-``count_delta``) only on the wires of an awake stage.
+touch; the awake set is recomputed for those stages alone.  The
+bookkeeping is :class:`~repro.gline.stages.StageGate`, which the
+barrier network uses too.  Wire faults reach the stages through
+:attr:`perturb_hook`, inside the tick.  A ``stuck`` level written
+directly on a wire is seen from the next entry point; a one-cycle fault
+written directly (``glitch_force``, ``count_delta``) only on the wires
+of an awake stage.
 
 ``hold_result=True`` turns the fabric into a *cluster* for the
 hierarchical variant: instead of broadcasting, the global value is
@@ -49,6 +51,7 @@ from typing import Callable
 from ..common.errors import ConfigError, GLineError
 from ..gline.gline import GLine
 from ..gline.integrity import INTEGRITY_MODES
+from ..gline.stages import StageGate
 from . import ops
 from .controllers import (
     M_BC_DONE, M_DONE, S_DONE, MUTATIONS, StageMaster, StageSlave,
@@ -148,9 +151,6 @@ class CollectiveFabric:
                 col_t.append(tid)
             self._stages.append((self.colmaster, self.colslaves, col_t,
                                  [txv, relv]))
-        #: The stage each wire of ``lines`` belongs to.
-        self._line_stage = [s for s, (_, _, _, wires) in
-                            enumerate(self._stages) for _ in wires]
 
         # ---- hooks --------------------------------------------------- #
         #: Called between assert and sample with (lines,) -- the network
@@ -180,11 +180,8 @@ class CollectiveFabric:
         # ---- wake bookkeeping (derived state, not part of snapshot()) - #
         #: Stages the next tick visits: some controller will act, or an
         #: orchestration hand-off is pending.
-        self._awake: set[int] = set()
-        #: Stages changed since their entry in ``_awake`` was decided.
-        self._dirty: set[int] = set()
-        #: Stages whose wires are stuck (seen at the entry points).
-        self._stuck: set[int] = set()
+        self._stage_gate = StageGate(
+            [wires for _, _, _, wires in self._stages], self._wants_tick)
         #: Masters that drove ``rel`` on the last tick; the next tick
         #: clears ``drove_rel`` even if it skips them.
         self._drove: list[StageMaster] = []
@@ -239,7 +236,7 @@ class CollectiveFabric:
                                      self.integrity_budget)
             for s in self.colslaves:
                 s.configure(mech2, in_w2, strong2, bw, integ2)
-        self._see_stuck()
+        self._stage_gate.see_stuck()
 
     def arrive_local(self, local: int, value: int) -> None:
         """Present core *local*'s operand to its row stage."""
@@ -254,7 +251,7 @@ class CollectiveFabric:
             self.rmasters[r].set_own(contrib)
         else:
             self.rslaves[r][c - 1].set_input(contrib)
-        self._dirty.add(r)
+        self._stage_gate.dirty.add(r)
 
     def open_with(self, value: int) -> None:
         """Cluster hand-off: broadcast the chip-global *value* locally.
@@ -300,8 +297,7 @@ class CollectiveFabric:
             gl.end_cycle()
         self._int_new = [0, 0, 0]
         self._int_exhausted = False
-        self._dirty.update(range(len(self._stages)))
-        self._see_stuck()
+        self._stage_gate.wake_all()
 
     def close_episode(self) -> None:
         """Finish the episode: full reset, ready for the next begin()."""
@@ -314,11 +310,10 @@ class CollectiveFabric:
         """Advance one network cycle; returns newly delivered
         ``(local, value)`` pairs."""
         stages = self._stages
+        gate = self._stage_gate
         for m in self._drove:
             m.drove_rel = False
-        if self._dirty:
-            self._settle()
-        visit = tuple(self._awake)
+        visit = gate.visit()
 
         # Assert phase.
         drove = []
@@ -336,9 +331,7 @@ class CollectiveFabric:
         # this cycle even if none of its controllers acts.
         if self.perturb_hook is not None:
             self.perturb_hook(self.lines)
-        forced = self._forced()
-        if forced and not forced.issubset(self._awake):
-            visit = tuple(forced.union(visit))
+        visit = gate.sampled(visit, self.perturb_hook is not None)
         if self.guard:
             self._guard_release_lines(visit)
 
@@ -363,11 +356,10 @@ class CollectiveFabric:
             self.wire_probe(wires)
         for gl in wires:
             gl.end_cycle()
-        self._dirty.update(visit)
+        gate.dirty.update(visit)
         return self._orchestrate(visit)
 
-    def _int_counts(self, visit: tuple[int, ...]) -> tuple[int, int, int,
-                                                           bool]:
+    def _int_counts(self, visit: list[int]) -> tuple[int, int, int, bool]:
         """Detections, round retries and corrections summed over the
         masters of *visit*, and whether one of them is exhausted."""
         faults = retries = corrected = 0
@@ -380,17 +372,7 @@ class CollectiveFabric:
             exhausted |= m.int_exhausted
         return faults, retries, corrected, exhausted
 
-    def _forced(self) -> set[int]:
-        """Stages with a wire forced this cycle: a fault field set after
-        the perturbation hook, or else a wire stuck when an entry point
-        last looked."""
-        if self.perturb_hook is None:
-            return self._stuck
-        return {self._line_stage[i] for i, gl in enumerate(self.lines)
-                if gl.stuck is not None or gl.glitch_force is not None
-                or gl.count_delta}
-
-    def _guard_release_lines(self, visit: tuple[int, ...]) -> None:
+    def _guard_release_lines(self, visit: list[int]) -> None:
         """Hardened mode: a release-line level the master did not drive
         is a wire fault -- flag it and mask it before the slaves sample,
         so a stuck-high wire degrades to detection + failover rather
@@ -405,14 +387,13 @@ class CollectiveFabric:
     # ------------------------------------------------------------------ #
     # orchestration: pure state hand-offs between stages
     # ------------------------------------------------------------------ #
-    def _orchestrate(self, visit: tuple[int, ...]
-                     ) -> list[tuple[int, int]]:
+    def _orchestrate(self, visit: list[int]) -> list[tuple[int, int]]:
         """The hand-offs of the stages in *visit* (the only ones the
-        tick changed); the stages a hand-off touches join ``_dirty``."""
+        tick changed); the stages a hand-off touches turn dirty."""
         assert self.kind is not None or not any(
             not m.idle for m in self.rmasters), "ticking a closed episode"
         rows = self.rows
-        dirty = self._dirty
+        dirty = self._stage_gate.dirty
 
         # Row stage done -> feed the column stage.
         for r in visit:
@@ -491,17 +472,18 @@ class CollectiveFabric:
 
     def _start_broadcast(self, value: int) -> None:
         self._bc_started = True
+        dirty = self._stage_gate.dirty
         if self.colmaster is not None:
             self.colmaster.start_broadcast(value)
-            self._dirty.add(self.rows)
+            dirty.add(self.rows)
         self.rmasters[0].start_broadcast(value)
-        self._dirty.add(0)
+        dirty.add(0)
         # Rows > 0 start when the column broadcast reaches them (or now,
         # if it already has -- e.g. open_with after the column settled).
         for j, cs in enumerate(self.colslaves):
             if cs.state == S_DONE and self.rmasters[j + 1].state == M_DONE:
                 self.rmasters[j + 1].start_broadcast(cs.result)
-                self._dirty.add(j + 1)
+                dirty.add(j + 1)
 
     # ------------------------------------------------------------------ #
     # status
@@ -561,20 +543,7 @@ class CollectiveFabric:
         """Does the next tick change fabric state unprompted?  Mirrors
         the barrier network's power gating: False while merely waiting
         for arrivals (or parked on a held result)."""
-        if self._dirty:
-            self._settle()
-        return bool(self._awake)
-
-    def _settle(self) -> None:
-        """Decide again, for the stages changed since, whether each is
-        awake."""
-        awake = self._awake
-        for s in self._dirty:
-            if self._wants_tick(s):
-                awake.add(s)
-            else:
-                awake.discard(s)
-        self._dirty.clear()
+        return self._stage_gate.busy()
 
     def _wants_tick(self, s: int) -> bool:
         """Will stage *s* act next tick, or does it have an orchestration
@@ -601,12 +570,6 @@ class CollectiveFabric:
             if sl.will_act() or (sl.state == S_DONE and not delivered[c]):
                 return True
         return False
-
-    def _see_stuck(self) -> None:
-        """Note which stages have a stuck wire (sampled every tick)."""
-        self._stuck = {self._line_stage[i]
-                       for i, gl in enumerate(self.lines)
-                       if gl.stuck is not None}
 
     @property
     def idle(self) -> bool:
@@ -659,5 +622,4 @@ class CollectiveFabric:
         self._drove = [m for m in masters if m.drove_rel]
         self._int_new = [0, 0, 0]
         self._int_exhausted = any(m.int_exhausted for m in masters)
-        self._dirty.update(range(len(self._stages)))
-        self._see_stuck()
+        self._stage_gate.wake_all()

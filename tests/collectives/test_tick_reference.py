@@ -26,6 +26,7 @@ from repro.collectives import ops
 from repro.collectives.controllers import M_BC_DONE, M_DONE, S_DONE
 from repro.collectives.fabric import CollectiveFabric
 from repro.gline.integrity import INTEGRITY_MODES
+from repro.gline.stages import StageGate
 
 
 class ReferenceFabric(CollectiveFabric):
@@ -183,11 +184,21 @@ class UnwokenBroadcastFabric(CollectiveFabric):
                 self.rmasters[j + 1].start_broadcast(cs.result)
 
 
+class SleepingForcedWireGate(StageGate):
+    """Ignores a wire forced on a sleeping stage."""
+
+    __slots__ = ()
+
+    def forced(self, hooked):
+        return super().forced(hooked) & self.awake
+
+
 class SleepingForcedWireFabric(CollectiveFabric):
     """A wire forced on a sleeping stage is ignored."""
 
-    def _forced(self):
-        return {s for s in super()._forced() if s in self._awake}
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._stage_gate.__class__ = SleepingForcedWireGate
 
 
 # ---------------------------------------------------------------------- #
