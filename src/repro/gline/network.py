@@ -8,8 +8,19 @@ single-row or single-column meshes.
 
 The network is clocked **only while a barrier is in flight** (the paper
 switches controllers on at bar_reg writes and off after the release, to
-save power); each tick runs every controller's assert phase, then every
+save power); each tick runs the controllers' assert phase, then their
 sample phase, modelling the 1-cycle G-line propagation.
+
+A tick visits only the *stages* that can change
+(:mod:`repro.gline.stages`).  A stage is one row (its master, its
+horizontal slaves and its ``SglineH``/``MglineH`` pair) or the first
+column (the vertical master and slaves and the vertical pair).  A stage
+is awake when one of its controllers ``will_act``.  The bar_reg writes,
+the hand-offs between the rows and the column, the gate and the resets
+mark the stages they touch, and a stage with a wire forced this cycle
+(after the fault injector ran; without one, stuck when an episode began
+or the network was reset) samples even when asleep.  A ``stuck`` level
+written directly on a wire is seen from the next such point.
 
 Ideal latency: with all cores arrived, the release reaches every core 4
 cycles later (gather-row, gather-column, release-column, release-row) --
@@ -29,6 +40,7 @@ from .context import SyncContext
 from .controllers import BarRegFile, MasterH, MasterV, SlaveH, SlaveV
 from .gline import GLine
 from .recovery import RecoveryController
+from .stages import StageGate
 
 
 def count_episode(stats: StatsRegistry, metrics, first: int, last: int,
@@ -159,6 +171,28 @@ class GLineBarrierNetwork(SyncContext):
         else:
             self.master_v = None
 
+        # ---- stages: every row, then the column ---------------------- #
+        per_row = self.cols - 1
+        #: Each row's SlaveHs.
+        self._row_slaves = [self.slaves_h[r * per_row:(r + 1) * per_row]
+                            for r in range(self.rows)]
+        #: Each stage's master and wires.
+        self._masters: list[MasterH | MasterV] = list(self.masters_h)
+        self._stage_wires: list[list[GLine]] = [
+            [] if tx is None else [tx, rel]
+            for tx, rel in zip(self.row_tx, self.row_rel)]
+        if self.master_v is not None:
+            self._masters.append(self.master_v)
+            self._stage_wires.append([self.col_tx, self.col_rel])
+        self._stage_gate = StageGate(self._stage_wires, self._wants_tick)
+        #: Masters that drove their release line on the last tick; the
+        #: next tick clears ``drove_release`` even if it skips them.
+        self._drove: list[MasterH | MasterV] = []
+        #: Whether the last tick found a fault with no core waiting: a
+        #: master's overcount stays in its registers, so the next tick
+        #: samples every stage, to find it again.
+        self._held_fault = False
+
     def _reset_master_v(self) -> None:
         self.master_v.scnt = 0
         self.master_v.mcnt = 0
@@ -182,8 +216,10 @@ class GLineBarrierNetwork(SyncContext):
                 f"core {core_id} re-arrived at barrier {self.name} before "
                 f"release (only one outstanding barrier per context)")
         self.bar_regs.write(local, resume)
+        self._stage_gate.dirty.add(local // self.cols)
         if self._first_arrival is None:
             self._first_arrival = self.now
+            self._stage_gate.see_stuck()
             if self.hardened and self.config.watchdog_episode_budget:
                 self._arm_watchdog(self.config.watchdog_episode_budget,
                                    self.barriers_completed, True)
@@ -212,28 +248,60 @@ class GLineBarrierNetwork(SyncContext):
         self.active_cycles += 1
         self._next_tick = None
         released: list = []
+        bar_regs = self.bar_regs
+        masters_h = self.masters_h
+        row_slaves = self._row_slaves
+        gate = self._stage_gate
+        dirty = gate.dirty
+        col = self.rows  # the column's stage number
+        for m in self._drove:
+            m.drove_release = False
+        visit = gate.visit()
+        if self._held_fault:
+            visit = list(range(len(self._masters)))
+        column = bool(visit) and visit[-1] == col
+        rows = visit[:-1] if column else visit
 
         # Assert phase: drive G-lines from start-of-cycle state.  MasterV
         # runs last so the release trigger it hands to the co-located row-0
         # MasterH is consumed in the *next* cycle, matching the one-cycle
         # hand-off of the SlaveV path (release-column then release-row,
         # Figure 2 cycles 2 and 3).
-        for mh in self.masters_h:
-            mh.assert_phase(self.bar_regs, released)
-        for sh in self.slaves_h:
-            sh.assert_phase(self.bar_regs)
-        for sv in self.slaves_v:
-            sv.assert_phase()
-        if self.master_v is not None:
-            self.master_v.assert_phase()
+        drove: list[MasterH | MasterV] = []
+        for r in rows:
+            mh = masters_h[r]
+            if mh.release_trigger and mh.on_release is not None:
+                # The release resets the row's vertical controller.
+                dirty.add(col)
+            mh.assert_phase(bar_regs, released)
+            if mh.drove_release:
+                drove.append(mh)
+        for r in rows:
+            for sh in row_slaves[r]:
+                sh.assert_phase(bar_regs)
+        if column:
+            for sv in self.slaves_v:
+                sv.assert_phase()
+            mv = self.master_v
+            mv.assert_phase()
+            if mv.drove_release:
+                # It handed row 0 the release trigger.
+                drove.append(mv)
+                dirty.add(0)
+        self._drove = drove
 
         # Wire faults land between the assert and sample sub-phases: the
         # drivers committed their levels, the fault corrupts what the
-        # receivers will see.
-        if self.injector is not None:
+        # receivers will see.  A stage with a forced wire samples this
+        # cycle even if none of its controllers acts.
+        hooked = self.injector is not None
+        if hooked:
             self.injector.perturb_glines(self.lines, now=self.now)
+        visit = gate.sampled(visit, hooked)
+        column = bool(visit) and visit[-1] == col
+        rows = visit[:-1] if column else visit
         if self.hardened:
-            self._guard_release_lines()
+            self._guard_release_lines(visit)
 
         # Sample phase: observe lines at end of cycle, update registers.
         # MasterV samples first so the co-located MasterH flag it reads is
@@ -241,17 +309,26 @@ class GLineBarrierNetwork(SyncContext):
         # intra-core register hand-off costs a cycle boundary, exactly as
         # in the paper's Figure 2 (Mv sets Mcnt in cycle 1 from the flag
         # MasterH set in cycle 0).
-        if self.master_v is not None:
+        if column:
             self.master_v.sample_phase()
-        for mh in self.masters_h:
-            mh.sample_phase(self.bar_regs)
-        for sv in self.slaves_v:
-            sv.sample_phase()
-        for sh in self.slaves_h:
-            sh.sample_phase(self.bar_regs, released)
-        fault = self.hardened and self._fault_detected()
-        if not fault and self.rows == 1 and self.masters_h[0].flag \
-                and not self.masters_h[0].release_trigger:
+        for r in rows:
+            mh = masters_h[r]
+            flag = mh.flag
+            mh.sample_phase(bar_regs)
+            if mh.flag and not flag and mh.on_release is not None:
+                # A complete row: its SlaveV, or MasterV, acts next.
+                dirty.add(col)
+        if column:
+            for sv in self.slaves_v:
+                sv.sample_phase()
+                if sv.master_h.release_trigger:
+                    dirty.add(sv.row)
+        for r in rows:
+            for sh in row_slaves[r]:
+                sh.sample_phase(bar_regs, released)
+        fault = self.hardened and self._fault_detected(visit)
+        if not fault and self.rows == 1 and masters_h[0].flag \
+                and not masters_h[0].release_trigger:
             # Degenerate single-row mesh: the horizontal master releases
             # directly (no vertical stage) -- unless gated by an upper
             # hierarchy level.  Hardened networks hold the release one
@@ -260,25 +337,31 @@ class GLineBarrierNetwork(SyncContext):
                 if self.hardened and not self._row_validated:
                     self._row_validated = True
                 else:
-                    self.masters_h[0].release_trigger = True
+                    masters_h[0].release_trigger = True
+                    dirty.add(0)
             else:
                 self._gate.on_gathered()
 
         # Post-guard levels: what the receivers actually sampled.
-        self._wire_probe(self.lines)
-        for line in self.lines:
+        wires: list[GLine] = []
+        for s in visit:
+            wires += self._stage_wires[s]
+        self._wire_probe(wires)
+        for line in wires:
             line.end_cycle()
+        dirty.update(visit)
         if self.tracer.enabled:
             self.tracer.emit(
                 self.now, self.name, obs_ev.GL_FSM,
-                flags=[mh.flag for mh in self.masters_h],
-                scnt=[mh.scnt for mh in self.masters_h],
+                flags=[mh.flag for mh in masters_h],
+                scnt=[mh.scnt for mh in masters_h],
                 vscnt=self.master_v.scnt if self.master_v else None,
                 arrived=self._arrived)
 
         if released:
             self._complete_release(released)
 
+        self._held_fault = fault and self._arrived == 0
         if fault and self._arrived > 0:
             self._handle_fault()
             return
@@ -358,62 +441,63 @@ class GLineBarrierNetwork(SyncContext):
 
     def _will_act(self) -> bool:
         """True if any controller will drive a line or change registers next
-        cycle without a further bar_reg write."""
-        bar_regs = self.bar_regs
-        for mh in self.masters_h:
-            if mh.will_act(bar_regs):
+        cycle without a further bar_reg write: some stage is awake."""
+        return self._stage_gate.busy()
+
+    def _wants_tick(self, s: int) -> bool:
+        """Will a controller of stage *s* drive a line or change registers
+        next cycle without a further bar_reg write?"""
+        if s == self.rows:  # the column
+            if self.master_v.will_act():
                 return True
-        for sh in self.slaves_h:
+            for sv in self.slaves_v:
+                if sv.will_act():
+                    return True
+            return False
+        bar_regs = self.bar_regs
+        mh = self.masters_h[s]
+        if mh.will_act(bar_regs):
+            return True
+        for sh in self._row_slaves[s]:
             if sh.will_act(bar_regs):
                 return True
-        for sv in self.slaves_v:
-            if sv.will_act():
-                return True
-        if self.master_v is not None and self.master_v.will_act():
-            return True
-        if (self.hardened and self.rows == 1 and self.masters_h[0].flag
-                and not self.masters_h[0].release_trigger
-                and (self._gate is None or self._gate.is_open)):
-            # Single-row validation cycle pending: keep the clock running.
-            return True
-        return False
+        # Single-row validation cycle pending: keep the clock running.
+        return (self.hardened and self.rows == 1 and mh.flag
+                and not mh.release_trigger
+                and (self._gate is None or self._gate.is_open))
 
     # ------------------------------------------------------------------ #
     # Watchdog, retry and failover (repro.faults hardening)
     # ------------------------------------------------------------------ #
-    def _guard_release_lines(self) -> None:
+    def _guard_release_lines(self, visit: list[int]) -> None:
         """Mask release-line levels that no master drove this cycle.
 
         A release line has exactly one legitimate transmitter, so a level
         the master did not drive is wire damage about to release cores
         early -- permanently skewing barrier episodes.  The guard forces
         the apparent level low before the slaves sample it and flags the
-        episode for the fault handler."""
+        episode for the fault handler.  A stage outside *visit* neither
+        drives its release line nor has it forced."""
         spurious = False
-        for r, rel in enumerate(self.row_rel):
-            if rel is not None and rel.sampled_on() \
-                    and not self.masters_h[r].drove_release:
+        for s in visit:
+            m = self._masters[s]
+            rel = m.tx
+            if rel is not None and rel.sampled_on() and not m.drove_release:
                 rel.glitch_force = 0
                 spurious = True
-        if self.col_rel is not None and self.col_rel.sampled_on() \
-                and not (self.master_v is not None
-                         and self.master_v.drove_release):
-            self.col_rel.glitch_force = 0
-            spurious = True
         if spurious:
             self._spurious_release = True
             self.fault_stats.bump("faults.gline.spurious_releases")
 
-    def _fault_detected(self) -> bool:
-        """Collect (and clear) this cycle's fault suspicions."""
+    def _fault_detected(self, visit: list[int]) -> bool:
+        """Collect (and clear) this cycle's fault suspicions: only the
+        masters of *visit* sampled."""
         found = self._spurious_release
         self._spurious_release = False
-        for mh in self.masters_h:
-            found |= mh.fault_suspected
-            mh.fault_suspected = False
-        if self.master_v is not None:
-            found |= self.master_v.fault_suspected
-            self.master_v.fault_suspected = False
+        for s in visit:
+            m = self._masters[s]
+            found |= m.fault_suspected
+            m.fault_suspected = False
         return found
 
     def _watchdog_check(self, token, episode_level: bool) -> None:
@@ -488,6 +572,7 @@ class GLineBarrierNetwork(SyncContext):
         self._spurious_release = False
         for line in self.lines:
             line.end_cycle()
+        self._stage_gate.wake_all()
 
     def failover(self, reason: str = "watchdog") -> None:
         """Give up on this network: quarantine it and bounce every waiting
@@ -553,6 +638,7 @@ class GLineBarrierNetwork(SyncContext):
         if self._gate is None:
             return
         self._gate.is_open = True
+        self._stage_gate.wake_all()
         if self.rows == 1 and self.masters_h[0].flag:
             self.masters_h[0].release_trigger = True
         if self.hardened and self._arrived == self.num_cores:
