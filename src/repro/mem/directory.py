@@ -130,13 +130,11 @@ class HomeController(Component):
         hit = self.l2.lookup(line) is not None
         if hit or kind == "PutM":
             # Write-backs allocate directly into the bank (full-line data).
-            self.l2.hits += 1
             counters["l2.hits"] += 1
             if kind == "PutM":
                 self.l2.insert(line, MESI.M)
             self.engine.schedule(self._l2_latency, self._act, entry, msg)
         else:
-            self.l2.misses += 1
             counters["l2.misses"] += 1
             self.engine.schedule(self._l2_latency, self._fetch, entry, msg)
 

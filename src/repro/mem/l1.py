@@ -97,14 +97,12 @@ class L1Cache(Component):
     def _do_load(self, addr: int, callback) -> None:
         line = addr - addr % self._line_bytes
         if self.array.lookup(line) is not None:
-            self.array.hits += 1
             self.stats.counters["l1.load_hits"] += 1
             callback(self.funcmem.load(addr))
         else:
             # After the fill the access re-runs; the line is normally
             # resident by then, and a capacity conflict in between simply
             # misses again.
-            self.array.misses += 1
             self.stats.counters["l1.load_misses"] += 1
             self._miss(line, "S", self._do_load, (addr, callback))
 
@@ -114,14 +112,12 @@ class L1Cache(Component):
         # A valid line that is not shared is exclusive (E or M).
         if entry is not None and entry.state is not _S:
             entry.state = _M
-            self.array.hits += 1
             self.stats.counters["l1.store_hits"] += 1
             self.funcmem.store(addr, value)
             if line in self._watchers:
                 self._fire_watchers(line)
             callback()
         else:
-            self.array.misses += 1
             self.stats.counters["l1.store_misses" if entry is None
                                 else "l1.store_upgrades"] += 1
             self._miss(line, "M", self._do_store, (addr, value, callback))

@@ -120,9 +120,12 @@ def test_resident_lines_and_counters():
     c.insert(a, MESI.S)
     c.insert(b, MESI.E)
     assert c.resident_lines() == sorted([a, b])
-    c.record_hit()
-    c.record_miss()
-    assert (c.hits, c.misses) == (1, 1)
+    assert c.evictions == 0
+    d, e = line_for_set(c, 0, 1), line_for_set(c, 0, 2)
+    c.insert(d, MESI.S)
+    assert c.insert(e, MESI.S).line_addr == a
+    assert c.resident_lines() == sorted([b, d, e])
+    assert c.evictions == 1
 
 
 def test_l2_slice_reaches_every_set():
