@@ -19,14 +19,15 @@ a NumPy reference (:meth:`verify`).
 from __future__ import annotations
 
 import random
-from typing import Generator
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator
 
 from ..common.errors import WorkloadError
 from ..cpu import isa
 from ..mem.address import WORD_BYTES
 from .base import VALUE_MOD, Workload, WorkloadInfo, chunk_bounds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OceanWorkload(Workload):
@@ -92,6 +93,8 @@ class OceanWorkload(Workload):
 
     def reference_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Expected final (grid_a, grid_b) contents."""
+        import numpy as np
+
         g = self.grid
         a = np.array(self._a0, dtype=np.int64).reshape(g, g)
         b = np.zeros((g, g), dtype=np.int64)
@@ -102,6 +105,8 @@ class OceanWorkload(Workload):
         return a, b
 
     def verify(self, chip) -> None:
+        import numpy as np
+
         g = self.grid
         ref_a, ref_b = self.reference_grids()
         got_a = np.array(chip.funcmem.load_array(self._grid_a, g * g)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-import networkx as nx
-
 from ..common.errors import WorkloadError
 from ..cpu import isa
 from ..mem.address import WORD_BYTES
@@ -45,6 +43,8 @@ class UnstructuredWorkload(Workload):
         self.skew = skew
         self.flops = flops_per_edge
         self.seed = seed
+        import networkx as nx
+
         graph = nx.gnm_random_graph(nodes, self.num_edges, seed=seed)
         self.edges: list[tuple[int, int]] = sorted(graph.edges())
         if not self.edges:
