@@ -1,6 +1,6 @@
 """ASCII figure rendering.
 
-The benchmark harness regenerates the paper's figures as *data* tables;
+The results manifest regenerates the paper's figures as *data* tables;
 this module additionally renders them as terminal graphics so the shape is
 visible at a glance: a log-scale line chart for Figure 5 and horizontal
 stacked bars for Figures 6/7.

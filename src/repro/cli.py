@@ -1,10 +1,16 @@
 """Command-line interface: regenerate the paper's results from a shell.
 
+Every committed file under ``results/`` is an entry of the results
+manifest (:mod:`repro.experiments.manifest`), which pins its driver
+arguments, renderer and shape checks.  ``repro all --out DIR`` writes
+exactly those files, so ``diff -r results DIR`` checks the whole
+evaluation; each figure subcommand renders its own entries.
+
 Examples::
 
     python -m repro table1
-    python -m repro fig5 --iterations 60
-    python -m repro figs --cores 32 --scale 0.5
+    python -m repro fig5 --iterations 10
+    python -m repro ablations hierarchical noc_model
     python -m repro run --workload kern3 --barrier gl --cores 16
     python -m repro all --out results/
 """
@@ -21,17 +27,8 @@ from .dse import DEFAULT_OBJECTIVES as DSE_DEFAULT_OBJECTIVES
 from .exec import (ParallelRunner, ResultCache, RunFailureError,
                    SweepJournal, default_cache_dir, use_executor)
 from .exec.supervisor import DEFAULT_RETRIES
+from .experiments import manifest, run_recovery, run_resilience
 from .faults import ChaosPlan
-from .experiments import (contention_ablation, csw_variant_ablation,
-                          dsw_arity_sweep, entry_overhead_sweep,
-                          hierarchical_latency, noc_model_ablation,
-                          period_sweep, run_collectives, run_fig5,
-                          run_fig6_and_fig7, run_recovery,
-                          run_integrity, run_resilience,
-                          run_shootout, run_stages,
-                          run_table1, run_table2)
-from .experiments.energy_exp import run_energy
-from .experiments.runner import run_benchmark
 from .workloads import (EM3DWorkload, Kernel2Workload, Kernel3Workload,
                         Kernel6Workload, OceanWorkload,
                         SyntheticBarrierWorkload, UnstructuredWorkload)
@@ -52,35 +49,22 @@ WORKLOADS = {
         nodes=1920, steps=max(1, int(8 * scale))),
 }
 
-ABLATIONS = {
-    "period": lambda cores: period_sweep(num_cores=cores, iterations=15),
-    "overhead": lambda cores: entry_overhead_sweep(num_cores=cores,
-                                                   iterations=40),
-    "hierarchical": lambda cores: hierarchical_latency(iterations=25),
-    "arity": lambda cores: dsw_arity_sweep(num_cores=cores, iterations=20),
-    "contention": lambda cores: contention_ablation(num_cores=cores,
-                                                    iterations=20),
-    "csw": lambda cores: csw_variant_ablation(num_cores=cores,
-                                              iterations=20),
-    "nocmodel": lambda cores: noc_model_ablation(num_cores=min(cores, 16),
-                                                 iterations=20),
-}
+#: Figure-subcommand flags that override a manifest entry's pinned driver
+#: argument of the same name (each defaults to None: keep the pin).
+DRIVER_ARGS = ("num_cores", "scale", "iterations", "value_width",
+               "core_counts", "rates", "seed", "modes")
 
 
-def _emit(text: str, out: Path | None, name: str) -> None:
+def _emit(text: str, out: Path | None, filename: str) -> None:
+    """Print one rendered file and, with *out*, write it there."""
     print(text)
-    print()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.txt").write_text(text + "\n")
+        (out / filename).write_text(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cores", type=int, default=32,
-                        help="chip size for figures 6/7, table 2, energy")
-    common.add_argument("--scale", type=float, default=0.5,
-                        help="iteration-count multiplier (default 0.5)")
     common.add_argument("--out", type=Path, default=None,
                         help="directory to save rendered outputs")
     common.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -112,6 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="append a JSONL sweep journal at PATH "
                              "(enables 'repro resume PATH')")
+    pinned = " (default: as pinned in the results manifest)"
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--cores", dest="num_cores", type=int, default=None,
+                       help="chip size" + pinned)
+    sized.add_argument("--scale", type=float, default=None,
+                       help="iteration-count multiplier" + pinned)
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -121,40 +111,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", parents=[common],
                    help="Table 1: CMP configuration")
-    sub.add_parser("table2", parents=[common],
+    sub.add_parser("table2", parents=[common, sized],
                    help="Table 2: barrier counts and periods")
     p5 = sub.add_parser("fig5", parents=[common],
                         help="Figure 5: barrier latency vs cores")
-    p5.add_argument("--iterations", type=int, default=60)
-    sub.add_parser("figs", parents=[common],
+    p5.add_argument("--iterations", type=int, default=None,
+                    help="barrier-loop iterations" + pinned)
+    sub.add_parser("figs", parents=[common, sized],
                    help="Figures 6 and 7 (one paired run)")
-    sub.add_parser("energy", parents=[common],
+    sub.add_parser("energy", parents=[common, sized],
                    help="network-energy proxy per benchmark")
-    sub.add_parser("stages", parents=[common],
+    sub.add_parser("stages", parents=[common, sized],
                    help="S1/S2/S3 barrier-stage decomposition")
     psh = sub.add_parser("shootout", parents=[common],
                          help="software-barrier comparison incl. "
                               "dissemination/tournament")
-    psh.add_argument("--iterations", type=int, default=30)
+    psh.add_argument("--iterations", type=int, default=None,
+                     help="barrier-loop iterations" + pinned)
     pco = sub.add_parser("collectives", parents=[common],
                          help="collective shootout: G-line bit-serial "
                               "all-reduce vs software NoC all-reduce")
-    pco.add_argument("--iterations", type=int, default=24)
-    pco.add_argument("--value-width", type=int, default=8,
-                     help="operand width in bits (default 8)")
-    pco.add_argument("--core-counts", type=int, nargs="+",
-                     default=None,
-                     help="chip sizes to sweep (default: 16 64 256)")
+    pco.add_argument("--iterations", type=int, default=None,
+                     help="all-reduce episodes" + pinned)
+    pco.add_argument("--value-width", type=int, default=None,
+                     help="operand width in bits" + pinned)
+    pco.add_argument("--core-counts", type=int, nargs="+", default=None,
+                     help="chip sizes to sweep" + pinned)
     pab = sub.add_parser("ablations", parents=[common],
                          help="design-choice ablations")
-    pab.add_argument("names", nargs="*", choices=list(ABLATIONS),
+    pab.add_argument("names", nargs="*",
+                     choices=[exp.name for exp in manifest.MANIFEST
+                              if exp.command == "ablations"],
                      help="subset to run (default: all)")
-    prun = sub.add_parser("run", parents=[common],
-                          help="run one benchmark, print summary")
+    prun = sub.add_parser("run", help="run one benchmark directly (no "
+                                      "executor or cache), print summary")
     prun.add_argument("--workload", choices=sorted(WORKLOADS),
                       required=True)
     prun.add_argument("--barrier", default="gl",
                       choices=["gl", "dsw", "csw", "csw-fa"])
+    prun.add_argument("--cores", type=int, default=32)
+    prun.add_argument("--scale", type=float, default=0.5,
+                      help="iteration-count multiplier (default 0.5)")
     prun.add_argument("--verify", action="store_true",
                       help="check the dataflow against the reference")
     # Deliberately NOT part of "all": the fault sweep is a robustness
@@ -162,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     pres = sub.add_parser("resilience", parents=[common],
                           help="fault sweep: GL barrier under G-line "
                                "stuck-at faults with watchdog failover")
+    pres.add_argument("--cores", type=int, default=32)
     pres.add_argument("--rates", type=float, nargs="+", default=None,
                       help="stuck-at fault rates to sweep "
                            "(default: 0 1e-4 5e-4 2e-3)")
@@ -178,18 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
     pres.add_argument("--duties", type=float, nargs="+", default=None,
                       help="intermittent-burst duty cycles to sweep with "
                            "--recovery (default: 0.25 0.5 0.75 1.0)")
-    # Like resilience, NOT part of "all": a robustness diagnostic.
     pin = sub.add_parser("integrity", parents=[common],
                          help="SDC sweep: undetected wrong collective "
                               "values vs S-CSMA miscount rate, per "
                               "verification mode")
+    pin.add_argument("--cores", dest="num_cores", type=int, default=None,
+                     help="chip size" + pinned)
     pin.add_argument("--rates", type=float, nargs="+", default=None,
                      help="miscount rates to sweep "
                           "(default: 2e-3 1e-2 2e-2)")
-    pin.add_argument("--iterations", type=int, default=20)
-    pin.add_argument("--seed", type=int, default=11,
-                     help="fault-plan seed (sweeps are reproducible "
-                          "per seed)")
+    pin.add_argument("--iterations", type=int, default=None,
+                     help="collective episodes (default 20)")
+    pin.add_argument("--seed", type=int, default=None,
+                     help="fault-plan seed (default 11; sweeps are "
+                          "reproducible per seed)")
     pin.add_argument("--modes", nargs="+", default=None,
                      choices=["off", "echo", "residue", "vote"],
                      help="integrity modes (default: all four)")
@@ -309,13 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     pca.add_argument("--dry-run", action="store_true",
                      help="with prune: report what would be evicted "
                           "(count/bytes, oldest first) without deleting")
-    sub.add_parser("all", parents=[common], help="everything above")
+    sub.add_parser("all", parents=[common],
+                   help="every file of the results manifest")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
+    if args.command == "run":
+        return _run_one(args)
     if args.command == "resume":
         return _run_resume(args)
     if args.command == "cache":
@@ -468,13 +471,13 @@ def _run_dse(args, raw_argv: list[str]) -> int:
                 budget=args.budget, seed=args.seed,
                 objectives=tuple(args.objectives),
                 runner=runner, **kwargs)
-            _emit(result.table(), args.out, "dse_crossover")
+            _emit(result.table() + "\n", args.out, "dse_crossover.txt")
         else:
             kwargs = {"rungs": rungs} if rungs else {}
             search = run_search(
                 space, tuple(args.objectives), budget=args.budget,
                 seed=args.seed, runner=runner, **kwargs)
-            _emit(search.table(), args.out, "dse")
+            _emit(search.table() + "\n", args.out, "dse.txt")
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
                 (args.out / "dse_front.json").write_text(
@@ -550,100 +553,72 @@ def _run_cache(args) -> int:
 
 
 def _dispatch(args) -> int:
-    command = args.command
+    if args.command == "resilience":
+        return _run_resilience(args)
+    if args.command == "trace":
+        return _run_trace(args)
+    if args.command == "verify":
+        return _run_verify(args)
+    return _render(args)
 
-    if command in ("table1", "all"):
-        _emit(run_table1(), args.out, "table1")
-    if command in ("table2", "all"):
-        _emit(run_table2(num_cores=args.cores, scale=args.scale).table(),
-              args.out, "table2")
-    if command in ("fig5", "all"):
-        iterations = getattr(args, "iterations", 60)
-        result = run_fig5(iterations=iterations)
-        _emit(result.table(), args.out, "fig5")
-        if not result.is_ordered():
-            print("WARNING: CSW > DSW > GL ordering violated",
-                  file=sys.stderr)
-            return 1
-    if command in ("figs", "all"):
-        fig6, fig7 = run_fig6_and_fig7(num_cores=args.cores,
-                                       scale=args.scale)
-        _emit(fig6.table() + "\n\n" + fig6.stacked_table(), args.out,
-              "fig6")
-        _emit(fig7.table() + "\n\n" + fig7.stacked_table(), args.out,
-              "fig7")
-    if command in ("energy", "all"):
-        result = run_energy(num_cores=args.cores, scale=args.scale)
-        text = result.table() + (
-            f"\naverage network-energy reduction: "
-            f"{result.average_reduction() * 100:.1f}%  "
-            f"(G-line share of GL energy: "
-            f"{result.gline_share() * 100:.2f}%)")
-        _emit(text, args.out, "energy")
-    if command in ("stages", "all"):
-        result = run_stages(num_cores=args.cores, scale=args.scale)
-        _emit(result.table(), args.out, "stages")
-    if command in ("shootout", "all"):
-        iterations = getattr(args, "iterations", 30)
-        result = run_shootout(iterations=iterations)
-        _emit(result.table(), args.out, "shootout")
-    if command in ("collectives", "all"):
+
+def _render(args) -> int:
+    """Render the results-manifest entries of a figure subcommand (every
+    entry for ``all``) and run their shape checks; exit 1 if one fails."""
+    names = getattr(args, "names", None)
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in DRIVER_ARGS and v is not None}
+    rc = 0
+    for exp in manifest.MANIFEST:
+        if args.command != "all" and (
+                exp.command != args.command
+                or (names and exp.name not in names)):
+            continue
+        result = exp.run(**overrides)
+        for filename, render in exp.files.items():
+            _emit(render(result), args.out, filename)
+        for check in exp.checks(result):
+            if not check.passed:
+                print(check, file=sys.stderr)
+                rc = 1
+    return rc
+
+
+def _run_resilience(args) -> int:
+    """``repro resilience``: the fault sweep, or with ``--recovery`` the
+    self-healing sweep; a robustness diagnostic outside the manifest."""
+    if args.recovery:
         kwargs = {}
-        if getattr(args, "core_counts", None):
-            kwargs["core_counts"] = tuple(args.core_counts)
-        result = run_collectives(
-            iterations=getattr(args, "iterations", 24),
-            value_width=getattr(args, "value_width", 8), **kwargs)
-        _emit(result.table(), args.out, "collectives")
-    if command in ("ablations", "all"):
-        names = getattr(args, "names", None) or list(ABLATIONS)
-        for name in names:
-            _emit(ABLATIONS[name](args.cores).table(), args.out,
-                  f"ablation_{name}")
-    if command == "resilience":
-        if args.recovery:
-            kwargs = {}
-            if args.duties is not None:
-                kwargs["duties"] = tuple(args.duties)
-            result = run_recovery(num_cores=args.cores,
-                                  iterations=args.iterations,
-                                  seed=args.seed, failover=args.failover,
-                                  **kwargs)
-            _emit(result.table(), args.out, "resilience_recovery")
-        else:
-            kwargs = {}
-            if args.rates is not None:
-                kwargs["rates"] = tuple(args.rates)
-            result = run_resilience(num_cores=args.cores,
-                                    iterations=args.iterations,
-                                    seed=args.seed, failover=args.failover,
-                                    **kwargs)
-            _emit(result.table(), args.out, "resilience")
-    if command == "integrity":
+        if args.duties is not None:
+            kwargs["duties"] = tuple(args.duties)
+        result = run_recovery(num_cores=args.cores,
+                              iterations=args.iterations,
+                              seed=args.seed, failover=args.failover,
+                              **kwargs)
+        _emit(result.table() + "\n", args.out, "resilience_recovery.txt")
+    else:
         kwargs = {}
         if args.rates is not None:
             kwargs["rates"] = tuple(args.rates)
-        if args.modes is not None:
-            kwargs["modes"] = tuple(args.modes)
-        result = run_integrity(num_cores=args.cores,
-                               iterations=args.iterations,
-                               seed=args.seed, **kwargs)
-        _emit(result.table(), args.out, "integrity")
-    if command == "run":
-        from .chip.cmp import CMP
-        from .experiments.runner import paper_config
+        result = run_resilience(num_cores=args.cores,
+                                iterations=args.iterations,
+                                seed=args.seed, failover=args.failover,
+                                **kwargs)
+        _emit(result.table() + "\n", args.out, "resilience.txt")
+    return 0
 
-        workload = WORKLOADS[args.workload](args.scale)
-        chip = CMP(paper_config(args.cores), barrier=args.barrier)
-        result = chip.run(workload)
-        print(result.summary())
-        if args.verify:
-            workload.verify(chip)
-            print("dataflow verified against the reference")
-    if command == "trace":
-        return _run_trace(args)
-    if command == "verify":
-        return _run_verify(args)
+
+def _run_one(args) -> int:
+    """``repro run``: one direct simulation, with no executor or cache."""
+    from .chip.cmp import CMP
+    from .experiments.runner import paper_config
+
+    workload = WORKLOADS[args.workload](args.scale)
+    chip = CMP(paper_config(args.cores), barrier=args.barrier)
+    print(chip.run(workload).summary())
+    if args.verify:
+        workload.verify(chip)
+        print("dataflow verified against the reference")
     return 0
 
 

@@ -40,12 +40,6 @@ class Table2Row:
     measured_barriers: int
     measured_period: float
 
-    @property
-    def period_ratio(self) -> float:
-        """Measured / paper period (1.0 = exact match; workload scaling
-        shrinks long-period applications, see DESIGN.md §6)."""
-        return self.measured_period / self.info.paper_period
-
 
 @dataclass
 class Table2Result:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import ABLATIONS, WORKLOADS, build_parser, main
+from repro.cli import WORKLOADS, build_parser, main
+from repro.experiments import manifest
 
 
 @pytest.fixture(autouse=True)
@@ -34,8 +35,18 @@ def test_run_command_dsw(capsys):
     assert "barrier=DSW" in capsys.readouterr().out
 
 
+def test_run_command_builds_no_executor(capsys):
+    """`run` simulates in-process: no cache summary, no executor flags."""
+    assert main(["run", "--workload", "synthetic", "--cores", "4",
+                 "--scale", "0.02"]) == 0
+    assert "[repro.exec]" not in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--workload", "synthetic",
+                                   "--jobs", "2"])
+
+
 def test_ablation_subset(capsys):
-    rc = main(["ablations", "overhead", "--cores", "4"])
+    rc = main(["ablations", "entry_overhead"])
     assert rc == 0
     assert "entry overhead" in capsys.readouterr().out
 
@@ -77,8 +88,11 @@ def test_parser_rejects_unknown_command():
 def test_workload_registry_complete():
     assert set(WORKLOADS) == {"synthetic", "kern2", "kern3", "kern6",
                               "ocean", "unstructured", "em3d"}
-    assert set(ABLATIONS) == {"period", "overhead", "hierarchical",
-                              "arity", "contention", "csw", "nocmodel"}
+    ablations = {exp.name for exp in manifest.MANIFEST
+                 if exp.command == "ablations"}
+    assert ablations == {"period_sweep", "entry_overhead", "hierarchical",
+                         "dsw_arity", "contention", "csw_variant",
+                         "noc_model"}
 
 
 def test_workload_factories_scale():

@@ -27,9 +27,9 @@ from repro.workloads import Kernel3Workload
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 
-#: The settings the checked-in tables were generated with
-#: (``python -m repro all --scale 0.5`` and fig5's default iterations=40
-#: at generation time -- see scripts/generate_experiments.py).
+#: The settings the checked-in tables were generated with, as pinned in
+#: the results manifest (repro.experiments.manifest): fig5 at 40
+#: iterations, Figures 6/7 at 32 cores and scale 0.5.
 FIG5_ITERATIONS = 40
 KERN3_ITERATIONS = 75          # Kernel3Workload at scale 0.5
 NUM_CORES = 32
