@@ -24,6 +24,7 @@ from ..common.stats import StatsRegistry
 from ..cpu.core import Core
 from ..faults import FaultInjector
 from ..gline.barrier import GLBarrier
+from ..gline.context import Hierarchy
 from ..gline.multibarrier import build_contexts
 from ..mem.address import AddressMap, Allocator
 from ..mem.directory import HomeController
@@ -260,6 +261,20 @@ class CMP:
     def num_cores(self) -> int:
         return self.config.num_cores
 
+    def _early_releases(self) -> list[str]:
+        """The first early release of every G-line network that made one:
+        a release that beat an arrival leaves that core an episode
+        behind, which a later deadlock shows."""
+        found = []
+        for ctx in self.sync_contexts:
+            for net in (ctx.levels if isinstance(ctx, Hierarchy) else [ctx]):
+                if net.first_early_release is not None:
+                    cycle, arrived = net.first_early_release
+                    found.append(
+                        f"{net.name} released early at cycle {cycle} with "
+                        f"{arrived} of {net.num_cores} cores arrived")
+        return found
+
     # ------------------------------------------------------------------ #
     def run(self, workload, *, max_cycles: int | None = None,
             max_events: int | None = None) -> RunResult:
@@ -301,6 +316,8 @@ class CMP:
                     f"cores {list(blocked)} blocked with no pending events "
                     f"({detail}) -- barrier some core never reaches, or "
                     f"mismatched barrier counts")
+                for early in self._early_releases():
+                    message += f"; {early}"
                 if self.obs is not None and self.obs.flight is not None:
                     # Post-mortem tail only when observability is on; the
                     # base message format stays stable otherwise.

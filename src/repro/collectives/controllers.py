@@ -26,6 +26,10 @@ network's wiring.  The protocol per stage:
 4. **Broadcast**: a start bit then ``bw`` data bits on ``rel`` (LSB
    first), so slaves can distinguish a result of 0 from silence.
 
+The ``barrier`` mechanism (:data:`repro.collectives.ops.BARRIER`) is
+Figure 4's: a gather completed by an exact count (:meth:`StageMaster.
+_barrier_sample`), then a start bit with no data bits as the release.
+
 Controllers are *pure state machines*: they never touch the engine, so
 the verify layer drives the exact production FSMs under exhaustive
 arrival interleavings (``repro.verify.collectives``) while
@@ -60,6 +64,11 @@ M_DONE = 3        # stage result computed (fabric orchestrates next)
 M_BC_START = 4    # broadcast start bit pending
 M_BC_DATA = 5     # driving broadcast data bits
 M_BC_DONE = 6     # broadcast finished
+
+#: The states in which a controller changes state next tick unprompted;
+#: a master drives ``rel`` in no other.
+S_ACTING = frozenset((S_SIGNAL, S_ROUNDS, S_BC_DATA))
+M_ACTING = frozenset((M_START, M_ROUNDS, M_BC_START, M_BC_DATA))
 
 #: Planted-bug registry for the verify layer (name -> description).
 MUTATIONS = {
@@ -160,14 +169,15 @@ class StageSlave:
         return self.in_width
 
     def assert_phase(self, tid: str) -> None:
-        if self.state == S_SIGNAL:
+        state = self.state
+        if state == S_SIGNAL:
             self.tx.assert_signal(tid)
             self.pulses += 1
             if self.mutation == "slave-double-pulse" and self.pulses == 1:
                 return  # stay in S_SIGNAL: the pulse repeats next tick
-            self.state = (S_WAIT_BC if self.mechanism == "bcast"
+            self.state = (S_WAIT_BC if self.mechanism in ("bcast", "barrier")
                           else S_WAIT_START)
-        elif self.state == S_ROUNDS:
+        elif state == S_ROUNDS:
             if self.integ != "off":
                 self._int_assert(tid)
             elif self.mechanism == "count":
@@ -193,8 +203,11 @@ class StageSlave:
                     and ((self.value >> self.cur_bit) & 1) == self.strong_bit:
                 self.tx.assert_signal(tid)
 
-    def sample_phase(self) -> None:
-        if self.state == S_WAIT_START:
+    def sample_phase(self) -> bool:
+        """Observe the wires at end of tick.  True if this slave's
+        result is complete (the barrier's: its release)."""
+        state = self.state
+        if state == S_WAIT_START:
             if self.rel.sampled_on():
                 self.state = S_ROUNDS
                 self.round = 0
@@ -203,7 +216,7 @@ class StageSlave:
                 if self.integ != "off":
                     self.confirming = True
                     self.iphase = 0
-        elif self.state == S_ROUNDS:
+        elif state == S_ROUNDS:
             if self.integ != "off":
                 self._int_sample()
             elif self.mechanism == "count":
@@ -221,17 +234,22 @@ class StageSlave:
                 self.cur_bit -= 1
                 if self.cur_bit < 0:
                     self.state = S_WAIT_BC
-        elif self.state == S_WAIT_BC:
+        elif state == S_WAIT_BC:
             if self.rel.sampled_on():
-                self.state = S_BC_DATA
                 self.bc_idx = 0
                 self.result = 0
-        elif self.state == S_BC_DATA:
+                if not self.bw:
+                    self.state = S_DONE
+                    return True
+                self.state = S_BC_DATA
+        elif state == S_BC_DATA:
             if self.rel.sampled_on():
                 self.result |= 1 << self.bc_idx
             self.bc_idx += 1
             if self.bc_idx >= self.bw:
                 self.state = S_DONE
+                return True
+        return False
 
     def _int_sample(self) -> None:
         """Round sampling under an integrity mode.  The master's ACK (a
@@ -278,7 +296,7 @@ class StageSlave:
     # ------------------------------------------------------------------ #
     def will_act(self) -> bool:
         """True if this controller changes state next tick unprompted."""
-        return self.state in (S_SIGNAL, S_ROUNDS, S_BC_DATA)
+        return self.state in S_ACTING
 
     @property
     def idle(self) -> bool:
@@ -312,7 +330,8 @@ class StageMaster:
                  "bc_idx", "drove_rel", "fault_suspected", "mutation",
                  "integ", "int_budget", "confirming", "iphase",
                  "int_samples", "int_accept", "int_value", "int_retries",
-                 "int_faults", "int_corrected", "int_exhausted", "racc")
+                 "int_faults", "int_corrected", "int_exhausted", "racc",
+                 "hardened", "column", "validating")
 
     def __init__(self, tx: GLine | None, rel: GLine | None,
                  rel_tid: str = "", mutation: str | None = None) -> None:
@@ -332,6 +351,9 @@ class StageMaster:
         self.finalize: tuple[str | None, int] = (None, 1)
         self.integ = "off"
         self.int_budget = 3
+        #: The barrier: an overcount is a fault; the first column's master.
+        self.hardened = False
+        self.column = False
         # Mutable FSM state.
         self.state = M_GATHER
         self.own = 0
@@ -357,12 +379,15 @@ class StageMaster:
         self.int_corrected = 0
         self.int_exhausted = False
         self.racc = 0
+        #: The barrier column's count-stability tick is under way.
+        self.validating = False
 
     # ------------------------------------------------------------------ #
     def configure(self, mechanism: str, in_width: int, strong_bit: int,
                   bw: int, finalize: tuple[str | None, int],
                   n_slaves: int, integ: str = "off",
-                  int_budget: int = 3) -> None:
+                  int_budget: int = 3, hardened: bool = False,
+                  column: bool = False) -> None:
         self.mechanism = mechanism
         self.in_width = in_width
         self.strong_bit = strong_bit
@@ -371,11 +396,16 @@ class StageMaster:
         self.n_slaves = n_slaves
         self.integ = integ
         self.int_budget = int_budget
+        self.hardened = hardened
+        self.column = column
 
     def set_own(self, contrib: int) -> None:
         """Latch the master's co-located operand (register write, not a
-        wire pulse -- the master is its own receiver)."""
+        wire pulse -- the master is its own receiver).  A barrier master
+        reads it in its next sample phase."""
         self.own = contrib
+        if self.mechanism == "barrier":
+            return
         self.own_set = True
         self._maybe_complete_gather()
 
@@ -383,8 +413,19 @@ class StageMaster:
         """Watchdog retry: back to gather-start with the operand kept."""
         own, own_set = self.own, self.own_set
         self.reset()
-        self.own, self.own_set = own, own_set
+        self.own = own
+        if self.mechanism == "barrier":
+            return  # read again by the next sample phase
+        self.own_set = own_set
         self._maybe_complete_gather()
+
+    def regather(self, own: int = 0) -> None:
+        """The barrier's release: the gather starts over, with *own*
+        present but not yet read."""
+        self.state = M_GATHER
+        self.arrived = 0
+        self.own = own
+        self.own_set = False
 
     def reset(self) -> None:
         self.state = M_GATHER
@@ -411,6 +452,7 @@ class StageMaster:
         self.int_corrected = 0
         self.int_exhausted = False
         self.racc = 0
+        self.validating = False
 
     # ------------------------------------------------------------------ #
     def _maybe_complete_gather(self) -> None:
@@ -436,34 +478,47 @@ class StageMaster:
         """Fabric hand-off: push *value* down this stage's ``rel`` line."""
         self.bc_value = value
         self.bc_idx = 0
-        if self.n_slaves == 0:
+        if self.n_slaves == 0 and self.bw:
             self.state = M_BC_DONE
         else:
             self.state = M_BC_START
 
     # ------------------------------------------------------------------ #
-    def assert_phase(self) -> None:
+    def assert_phase(self) -> bool:
+        """Drive ``rel`` from start-of-tick state.  True if this was the
+        barrier's release: the start bit with no data bits, which a
+        stage without a release line makes too (its master releases
+        its own core)."""
         self.drove_rel = False
-        if self.rel is None:
-            return
-        if self.state == M_START:
+        state = self.state
+        if state not in M_ACTING:
+            return False
+        rel = self.rel
+        if state == M_BC_START:
+            if rel is not None:
+                rel.assert_signal(self.rel_tid)
+                self.drove_rel = True
+            self.bc_idx = 0
+            if self.bw:
+                self.state = M_BC_DATA
+                return False
+            self.state = M_BC_DONE
+            return True
+        if rel is None:
+            return False
+        if state == M_START:
             # The start pulse; the sample phase arms the round state so
             # the first round is counted one tick later, in lockstep with
             # the slaves (they observe this pulse at end of tick).
-            self.rel.assert_signal(self.rel_tid)
+            rel.assert_signal(self.rel_tid)
             self.drove_rel = True
-        elif self.state == M_ROUNDS and self.integ != "off":
-            self._int_assert()
-        elif self.state == M_ROUNDS and self.mechanism == "elim" \
-                and self.pending_reflect == 1:
-            self.rel.assert_signal(self.rel_tid)
-            self.drove_rel = True
-        elif self.state == M_BC_START:
-            self.rel.assert_signal(self.rel_tid)
-            self.drove_rel = True
-            self.bc_idx = 0
-            self.state = M_BC_DATA
-        elif self.state == M_BC_DATA:
+        elif state == M_ROUNDS:
+            if self.integ != "off":
+                self._int_assert()
+            elif self.mechanism == "elim" and self.pending_reflect == 1:
+                rel.assert_signal(self.rel_tid)
+                self.drove_rel = True
+        elif state == M_BC_DATA:
             last = self.bc_idx == self.bw - 1
             if (self.bc_value >> self.bc_idx) & 1 \
                     and not (last and self.mutation == "bcast-drop-msb"):
@@ -472,8 +527,13 @@ class StageMaster:
             self.bc_idx += 1
             if self.bc_idx >= self.bw:
                 self.state = M_BC_DONE
+        return False
 
-    def sample_phase(self) -> None:
+    def sample_phase(self) -> bool:
+        """Observe the wires at end of tick.  True if a barrier gather
+        completed."""
+        if self.mechanism == "barrier":
+            return self._barrier_sample()
         if self.state == M_GATHER:
             if self.tx is not None:
                 cnt = self.tx.sample_count()
@@ -533,6 +593,32 @@ class StageMaster:
                 self.cur_bit -= 1
                 if self.cur_bit < 0:
                     self._finish(self.acc)
+        return False
+
+    def _barrier_sample(self) -> bool:
+        """Figure 4's gather: add this tick's ``tx`` count, read the own
+        arrival, and complete when it is present and the count is
+        exact.  An unhardened row stops sampling once complete, so an
+        overcount never completes it.  True if it completed."""
+        gathering = self.state == M_GATHER
+        if not (gathering or self.hardened or self.column):
+            return False
+        if self.tx is not None:
+            self.arrived += self.tx.sample_count()
+        if self.own:
+            self.own_set = True
+        if self.hardened and self.arrived > self.n_slaves:
+            self.fault_suspected = True
+            self.validating = False
+            return False
+        if gathering and self.own_set and self.arrived == self.n_slaves:
+            if self.hardened and self.column and not self.validating:
+                self.validating = True
+                return False
+            self.validating = False
+            self.state = M_DONE
+            return True
+        return False
 
     # ------------------------------------------------------------------ #
     # Integrity-mode round handling (see repro.gline.integrity).  The
@@ -690,7 +776,8 @@ class StageMaster:
 
     # ------------------------------------------------------------------ #
     def will_act(self) -> bool:
-        return self.state in (M_START, M_ROUNDS, M_BC_START, M_BC_DATA)
+        return (self.state in M_ACTING or self.validating
+                or (self.own != 0 and not self.own_set))
 
     @property
     def idle(self) -> bool:
@@ -707,7 +794,7 @@ class StageMaster:
                 self.confirming, self.iphase, tuple(self.int_samples),
                 self.int_accept, self.int_value, self.int_retries,
                 self.int_faults, self.int_corrected, self.int_exhausted,
-                self.racc)
+                self.racc, self.validating)
 
     def restore(self, snap: tuple) -> None:
         (self.state, self.own, self.own_set, self.arrived, self.acc,
@@ -718,5 +805,5 @@ class StageMaster:
          self.n_slaves, self.integ, self.int_budget, self.confirming,
          self.iphase, int_samples, self.int_accept, self.int_value,
          self.int_retries, self.int_faults, self.int_corrected,
-         self.int_exhausted, self.racc) = snap
+         self.int_exhausted, self.racc, self.validating) = snap
         self.int_samples = list(int_samples)

@@ -42,6 +42,14 @@ parked and reported through ``on_reduced``; the upper level later calls
 :meth:`open_with` to inject the chip-wide result into the local
 broadcast (skipping local core 0, which the upper level delivers
 itself).
+
+The barrier kind (:data:`~repro.collectives.ops.BARRIER`) is the
+G-line barrier of Figures 2 and 4, which
+:class:`~repro.gline.network.GLineBarrierNetwork` runs.  It has no
+episodes: :meth:`begin` configures it once, each stage starts its
+gather over as it releases, and its hand-offs
+(:meth:`_barrier_handoffs`) keep Figure 4's timing where it differs
+from a collective's (docs/gline-network.md).
 """
 
 from __future__ import annotations
@@ -54,8 +62,16 @@ from ..gline.integrity import INTEGRITY_MODES
 from ..gline.stages import StageGate
 from . import ops
 from .controllers import (
-    M_BC_DONE, M_DONE, S_DONE, MUTATIONS, StageMaster, StageSlave,
+    M_BC_DONE, M_BC_START, M_DONE, S_DONE, S_IDLE, S_SIGNAL, MUTATIONS,
+    StageMaster, StageSlave,
 )
+
+#: Wire names of a stage role: row transmit, row release, column
+#: transmit, column release.
+WIRES = ("txH", "relH", "txV", "relV")
+#: The barrier's, Figure 1's: fault plans, verify scenarios and traces
+#: key on them.
+BARRIER_WIRES = ("SglineH", "MglineH", "SglineV", "MglineV")
 
 
 class CollectiveFabric:
@@ -66,7 +82,8 @@ class CollectiveFabric:
                  hold_result: bool = False,
                  mutation: str | None = None,
                  integrity: str = "off",
-                 integrity_budget: int = 3) -> None:
+                 integrity_budget: int = 3,
+                 wires: tuple[str, str, str, str] = WIRES) -> None:
         if rows < 1 or cols < 1:
             raise ConfigError("collective fabric needs a >=1x1 mesh")
         if cols - 1 > max_transmitters or rows - 1 > max_transmitters:
@@ -111,10 +128,11 @@ class CollectiveFabric:
         #: its slaves, their transmitter ids and its wires.
         self._stages: list[tuple[StageMaster, list[StageSlave], list[str],
                                  list[GLine]]] = []
+        tx_h, rel_h, tx_v, rel_v = wires
         for r in range(rows):
             if cols > 1:
-                tx: GLine | None = _line(f"txH{r}")
-                rel: GLine | None = _line(f"relH{r}")
+                tx: GLine | None = _line(f"{tx_h}{r}")
+                rel: GLine | None = _line(f"{rel_h}{r}")
             else:
                 tx = rel = None
             mut = m_master if r == 0 else None
@@ -137,8 +155,8 @@ class CollectiveFabric:
         self.colmaster: StageMaster | None = None
         self.colslaves: list[StageSlave] = []
         if rows > 1:
-            txv = _line("txV")
-            relv = _line("relV")
+            txv = _line(tx_v)
+            relv = _line(rel_v)
             cmut = m_bcast if (m_bcast is not None and cols == 1) else None
             self.colmaster = StageMaster(txv, relv, f"{name}.cm",
                                          mutation=cmut)
@@ -158,6 +176,8 @@ class CollectiveFabric:
         self.perturb_hook: Callable[[list[GLine]], None] | None = None
         #: Hardened mode: mask + flag spurious release-line levels.
         self.guard = False
+        #: Whether this tick's guard masked a level.
+        self.spurious = False
         #: Called post-sample / pre-end_cycle with the wires of the stages
         #: the tick visited (no other wire carries a level) -- the network
         #: hangs wire tracing and toggle accounting here.
@@ -176,6 +196,10 @@ class CollectiveFabric:
         self._delivered = [False] * self.num_cores
         self._row_w = 1       # row stage result width
         self._bw = 1          # broadcast framing width
+        #: The barrier kind: a held cluster's gate is open; a single
+        #: row took its count-stability tick.
+        self.gate_open = False
+        self._validated = False
 
         # ---- wake bookkeeping (derived state, not part of snapshot()) - #
         #: Stages the next tick visits: some controller will act, or an
@@ -198,14 +222,30 @@ class CollectiveFabric:
 
         *bcast_width* overrides the broadcast framing width -- the
         hierarchical variant passes the chip-global result width, which
-        can exceed this cluster's own.
+        can exceed this cluster's own.  The barrier kind has no rounds
+        and no data bits; ``guard`` hardens its gather.
         """
-        ops.check_kind(kind)
+        if kind != ops.BARRIER:
+            ops.check_kind(kind)
         if self.kind is not None:
             raise GLineError(
                 f"{self.name}: begin({kind!r}) during an open "
                 f"{self.kind!r} episode")
         self.kind = kind
+        if kind == ops.BARRIER:
+            for m, slaves in zip(self.rmasters, self.rslaves):
+                m.configure(kind, 0, 0, 0, (None, 1), self.cols - 1,
+                            hardened=self.guard)
+                for s in slaves:
+                    s.configure(kind, 0, 0, 0)
+            if self.colmaster is not None:
+                self.colmaster.configure(kind, 0, 0, 0, (None, 1),
+                                         self.rows - 1,
+                                         hardened=self.guard, column=True)
+                for s in self.colslaves:
+                    s.configure(kind, 0, 0, 0)
+            self.see_stuck()
+            return
         w = self.value_width
         mech = ops.MECHANISM[kind]
         in_w = ops.stage_in_width(kind, w)
@@ -239,13 +279,16 @@ class CollectiveFabric:
         self._stage_gate.see_stuck()
 
     def arrive_local(self, local: int, value: int) -> None:
-        """Present core *local*'s operand to its row stage."""
-        if self.kind is None:
+        """Present core *local*'s operand to its row stage (a barrier
+        arrival carries none)."""
+        kind = self.kind
+        if kind is None:
             raise GLineError(f"{self.name}: arrive_local before begin()")
         if not 0 <= local < self.num_cores:
             raise ConfigError(f"{self.name}: local id {local} out of "
                               f"range for {self.rows}x{self.cols}")
-        contrib = ops.stage_contrib(self.kind, value, self.value_width)
+        contrib = (1 if kind == ops.BARRIER
+                   else ops.stage_contrib(kind, value, self.value_width))
         r, c = divmod(local, self.cols)
         if c == 0:
             self.rmasters[r].set_own(contrib)
@@ -265,11 +308,32 @@ class CollectiveFabric:
         self._skip_root = True
         self._start_broadcast(value)
 
+    def open_gate(self) -> None:
+        """Barrier cluster hand-off: the upper level grants the release.
+        Unlike :meth:`open_with` it releases local core 0 too."""
+        self.gate_open = True
+        self._stage_gate.wake_all()
+        top = self.colmaster or self.rmasters[0]
+        if top.state == M_DONE:
+            top.state = M_BC_START
+
+    def see_stuck(self) -> None:
+        """An entry point looks at the wires: a stuck one is sampled
+        from the next tick on."""
+        self._stage_gate.see_stuck()
+
+    def end_barrier(self) -> None:
+        """A barrier episode is over: the gate closes and a single row
+        owes its count-stability tick again."""
+        self.gate_open = False
+        self._validated = False
+
     def reset_episode(self, keep_operands: bool = True) -> None:
         """Watchdog retry: restart the episode's wire protocol.
 
         With *keep_operands* the already-latched row inputs re-signal;
-        column-stage state is always rebuilt from the rows.
+        column-stage state is always rebuilt from the rows.  The barrier
+        kind stays configured either way.
         """
         for r in range(self.rows):
             if keep_operands:
@@ -290,9 +354,12 @@ class CollectiveFabric:
         self.result = None
         self._bc_started = False
         self._delivered = [False] * self.num_cores
+        self._validated = False
         if not keep_operands:
-            self.kind = None
+            if self.kind != ops.BARRIER:
+                self.kind = None
             self._skip_root = False
+            self.gate_open = False
         for gl in self.lines:
             gl.end_cycle()
         self._int_new = [0, 0, 0]
@@ -306,20 +373,26 @@ class CollectiveFabric:
     # ------------------------------------------------------------------ #
     # the clock
     # ------------------------------------------------------------------ #
-    def tick(self) -> list[tuple[int, int]]:
+    def tick(self, every_stage: bool = False) -> list[tuple[int, int]]:
         """Advance one network cycle; returns newly delivered
-        ``(local, value)`` pairs."""
+        ``(local, value)`` pairs.  *every_stage* visits the sleeping
+        stages too: a hardened barrier that found a fault while no core
+        waited looks again for the overcount its masters still hold."""
         stages = self._stages
         gate = self._stage_gate
         for m in self._drove:
             m.drove_rel = False
         visit = gate.visit()
+        if every_stage:
+            visit = list(range(len(stages)))
+        out: list[tuple[int, int]] = []
 
         # Assert phase.
         drove = []
         for s in visit:
             master, slaves, tids, _ = stages[s]
-            master.assert_phase()
+            if master.assert_phase():
+                self._release(s, out)
             if master.drove_rel:
                 drove.append(master)
             for sl, tid in zip(slaves, tids):
@@ -333,18 +406,22 @@ class CollectiveFabric:
             self.perturb_hook(self.lines)
         visit = gate.sampled(visit, self.perturb_hook is not None)
         if self.guard:
-            self._guard_release_lines(visit)
+            self.spurious = self._guard_release_lines(visit)
 
         # Sample phase.
         counting = self.integrity != "off"
         if counting:
             before = self._int_counts(visit)
         wires: list[GLine] = []
+        #: (stage, controller) of each controller done this tick.
+        done: list[tuple[int, StageMaster | StageSlave]] = []
         for s in visit:
             master, slaves, _, lines = stages[s]
-            master.sample_phase()
+            if master.sample_phase():
+                done.append((s, master))
             for sl in slaves:
-                sl.sample_phase()
+                if sl.sample_phase():
+                    done.append((s, sl))
             wires += lines
         if counting:
             after = self._int_counts(visit)
@@ -357,6 +434,9 @@ class CollectiveFabric:
         for gl in wires:
             gl.end_cycle()
         gate.dirty.update(visit)
+        if self.kind == ops.BARRIER:
+            self._barrier_handoffs(done, out)
+            return out
         return self._orchestrate(visit)
 
     def _int_counts(self, visit: list[int]) -> tuple[int, int, int, bool]:
@@ -372,17 +452,21 @@ class CollectiveFabric:
             exhausted |= m.int_exhausted
         return faults, retries, corrected, exhausted
 
-    def _guard_release_lines(self, visit: list[int]) -> None:
+    def _guard_release_lines(self, visit: list[int]) -> bool:
         """Hardened mode: a release-line level the master did not drive
         is a wire fault -- flag it and mask it before the slaves sample,
         so a stuck-high wire degrades to detection + failover rather
         than a silently wrong value.  A stage outside *visit* neither
-        drives its release line nor has it forced."""
+        drives its release line nor has it forced.  True if a level
+        was masked."""
+        masked = False
         for s in visit:
             m = self._stages[s][0]
             if m.rel is not None and not m.drove_rel and m.rel.sampled_on():
                 m.fault_suspected = True
                 m.rel.glitch_force = 0
+                masked = True
+        return masked
 
     # ------------------------------------------------------------------ #
     # orchestration: pure state hand-offs between stages
@@ -456,6 +540,79 @@ class CollectiveFabric:
                     delivered[base + c] = True
                     out.append((base + c, s.result))
         return out
+
+    def _release(self, s: int, out: list[tuple[int, int]]) -> None:
+        """Stage *s*'s master sent the barrier's release pulse: its
+        gather starts over.  The column's hands row 0 its release for
+        the next tick; a row's releases the master's own core and resets
+        the column controller the row fed."""
+        dirty = self._stage_gate.dirty
+        rows = self.rows
+        cm = self.colmaster
+        if s == rows:
+            assert cm is not None
+            cm.regather(cm.own)
+            self.rmasters[0].state = M_BC_START
+            dirty.add(0)
+            return
+        self.rmasters[s].regather()
+        out.append((s * self.cols, 0))
+        if cm is not None:
+            if s:
+                self.colslaves[s - 1].state = S_IDLE
+            else:
+                cm.regather()
+            dirty.add(rows)
+
+    def _barrier_handoffs(self,
+                          done: list[tuple[int, StageMaster | StageSlave]],
+                          out: list[tuple[int, int]]) -> None:
+        """The barrier's hand-offs for the *done* ``(stage, controller)``
+        pairs of a tick: a row slave that saw its release is delivered;
+        a complete row reports to the column (row 0 by the flag the
+        column master reads next tick); a column slave that saw the
+        column's release starts its row's; the top stage, complete,
+        reports to a held cluster's upper level and releases once the
+        gate allows."""
+        rows = self.rows
+        cm = self.colmaster
+        dirty = self._stage_gate.dirty
+        for s, ctrl in done:
+            if isinstance(ctrl, StageSlave):
+                if s == rows:
+                    r = self.colslaves.index(ctrl) + 1
+                    self.rmasters[r].state = M_BC_START
+                    dirty.add(r)
+                else:
+                    ctrl.state = S_IDLE
+                    out.append((s * self.cols + 1
+                                + self.rslaves[s].index(ctrl), 0))
+            elif s == rows:
+                if self.hold_result:
+                    self._report()
+                if not self.hold_result or self.gate_open:
+                    ctrl.state = M_BC_START
+            elif cm is not None:
+                if s:
+                    self.colslaves[s - 1].set_input(1)
+                else:
+                    cm.own = 1
+                dirty.add(rows)
+        if cm is None:
+            m = self.rmasters[0]
+            if m.state != M_DONE or m.fault_suspected:
+                return
+            if self.hold_result and not self.gate_open:
+                self._report()
+            elif self.guard and not self._validated:
+                self._validated = True
+            else:
+                m.state = M_BC_START
+                dirty.add(0)
+
+    def _report(self) -> None:
+        if self.on_reduced is not None:
+            self.on_reduced(1)
 
     def _global_done(self, result: int) -> None:
         self._global_ready = True
@@ -551,6 +708,14 @@ class CollectiveFabric:
         master, slaves, _, _ = self._stages[s]
         if master.will_act():
             return True
+        if self.kind == ops.BARRIER:
+            for sl in slaves:
+                if sl.state == S_SIGNAL:  # its arrival pulse is due
+                    return True
+            # A hardened single row also wakes for its count-stability
+            # tick, once its gate allows the release.
+            return (self.guard and self.rows == 1 and master.state == M_DONE
+                    and (not self.hold_result or self.gate_open))
         if s == self.rows:  # the column
             if master.state == M_DONE and not self._col_done:
                 return True
@@ -589,11 +754,13 @@ class CollectiveFabric:
             self._skip_root, tuple(self._delivered),
             self._row_w, self._bw,
             tuple(gl.stuck for gl in self.lines),
+            self.gate_open, self._validated,
         )
 
     def restore(self, snap: tuple) -> None:
         (rm, rs, cm, cs, kind, row_fed, col_done, global_ready, result,
-         bc_started, skip_root, delivered, row_w, bw, stuck) = snap
+         bc_started, skip_root, delivered, row_w, bw, stuck,
+         self.gate_open, self._validated) = snap
         for m, s in zip(self.rmasters, rm):
             m.restore(s)
         for row, snaps in zip(self.rslaves, rs):

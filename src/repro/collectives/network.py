@@ -28,7 +28,6 @@ from ..common.params import GLineConfig
 from ..common.stats import StatsRegistry
 from ..faults import FAILOVER
 from ..gline.context import FAILOVER_REPORT_CAP, SyncContext
-from ..gline.gline import GLine
 from ..gline.integrity import full_jitter
 from ..obs import events as obs_ev
 from ..sim.engine import Engine
@@ -207,9 +206,6 @@ class CollectiveNetwork(SyncContext):
         # also keeps model-checker replays cycle-aligned.
         self._clock_next(self.fabric.will_act()
                          or (self._int_on and self._kind is not None))
-
-    def _perturb(self, lines: list[GLine]) -> None:
-        self.injector.perturb_glines(lines, now=self.now)
 
     def _complete(self, deliveries: list[tuple[int, int]]) -> None:
         release_time = self.now + 1
@@ -483,10 +479,5 @@ class CollectiveNetwork(SyncContext):
             self.on_failover()
 
     # ------------------------------------------------------------------ #
-    def set_injector(self, injector) -> None:
-        super().set_injector(injector)
-        self.fabric.perturb_hook = (self._perturb if injector is not None
-                                    else None)
-
     def fully_idle(self) -> bool:
         return not self._resumes and self.fabric.idle

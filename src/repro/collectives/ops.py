@@ -23,6 +23,12 @@ from ..common.errors import ConfigError
 #: Every collective kind accepted by :class:`repro.cpu.isa.CollectiveOp`.
 KINDS = ("sum", "min", "max", "any", "all", "vote", "bcast")
 
+#: The zero-round kind :class:`repro.gline.network.GLineBarrierNetwork`
+#: runs on its fabric: the gather is every kind's arrival count, the
+#: release the broadcast start pulse with no data bits.  No
+#: ``CollectiveOp`` carries it, so it is not in :data:`KINDS`.
+BARRIER = "barrier"
+
 #: Kind used to combine a level's partials at the level above.
 COMBINE_KIND = {
     "sum": "sum",

@@ -59,6 +59,18 @@ def run_many(specs: Sequence[RunSpec]) -> list[RunResult]:
     return current_executor().run(specs)
 
 
+def run_points(points: Sequence[tuple[Workload, str, int]]
+               ) -> list[RunResult]:
+    """Run each ``(workload, barrier, num_cores)`` point on the Table-1
+    chip, as one batch through the ambient executor -- or, when a
+    workload cannot be a spec, each as :func:`run_benchmark` runs it."""
+    try:
+        specs = [make_spec(wl, barrier, n) for wl, barrier, n in points]
+    except SpecError:
+        return [run_benchmark(wl, barrier, n) for wl, barrier, n in points]
+    return run_many(specs)
+
+
 def run_benchmark(workload: Workload, barrier: str, num_cores: int = 32,
                   config: CMPConfig | None = None,
                   max_events: int | None = None) -> RunResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.report import render_table
 from ..workloads.synthetic import SyntheticBarrierWorkload
-from .runner import run_benchmark
+from .runner import run_points
 
 DEFAULT_IMPLS = ("csw", "dsw", "diss", "tour", "gl")
 
@@ -49,11 +49,10 @@ def run_shootout(core_counts=(4, 8, 16, 32), impls=DEFAULT_IMPLS,
                  iterations: int = 40) -> ShootoutResult:
     result = ShootoutResult(core_counts=tuple(core_counts),
                             impls=tuple(impls))
-    for impl in impls:
-        series = {}
-        for cores in core_counts:
-            run = run_benchmark(SyntheticBarrierWorkload(
-                iterations=iterations), impl, num_cores=cores)
-            series[cores] = run.total_cycles / run.num_barriers()
-        result.cycles_per_barrier[impl] = series
+    points = [(impl, n) for impl in impls for n in core_counts]
+    runs = run_points([(SyntheticBarrierWorkload(iterations=iterations),
+                        impl, n) for impl, n in points])
+    for (impl, n), run in zip(points, runs):
+        result.cycles_per_barrier.setdefault(impl, {})[n] = \
+            run.total_cycles / run.num_barriers()
     return result

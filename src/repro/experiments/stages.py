@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from ..analysis.report import pct, render_table
 from ..chip.results import RunResult
 from .fig6 import default_fig6_workloads
-from .runner import run_benchmark
+from .runner import run_points
 
 
 @dataclass
@@ -75,9 +75,11 @@ def run_stages(num_cores: int = 32, scale: float = 0.5,
                impls=("dsw", "gl")) -> StagesResult:
     """Regenerate the stage-decomposition analysis."""
     result = StagesResult()
-    for name, wl in (workloads or default_fig6_workloads(scale)).items():
-        for impl in impls:
-            run = run_benchmark(wl, impl, num_cores=num_cores)
-            s2, sync = decompose(run)
-            result.rows.append(StageRow(name, impl.upper(), s2, sync))
+    points = [(name, wl, impl) for name, wl
+              in (workloads or default_fig6_workloads(scale)).items()
+              for impl in impls]
+    runs = run_points([(wl, impl, num_cores) for _, wl, impl in points])
+    for (name, _, impl), run in zip(points, runs):
+        s2, sync = decompose(run)
+        result.rows.append(StageRow(name, impl.upper(), s2, sync))
     return result

@@ -16,7 +16,7 @@ from ..workloads import (EM3DWorkload, Kernel2Workload, Kernel3Workload,
                          Kernel6Workload, OceanWorkload,
                          SyntheticBarrierWorkload, UnstructuredWorkload)
 from ..workloads.base import Workload, WorkloadInfo
-from .runner import run_benchmark
+from .runner import run_points
 
 
 def default_table2_workloads(scale: float = 1.0) -> list[Workload]:
@@ -73,8 +73,9 @@ def run_table2(num_cores: int = 32, scale: float = 1.0,
                workloads: list[Workload] | None = None) -> Table2Result:
     """Regenerate Table 2."""
     result = Table2Result()
-    for wl in (workloads or default_table2_workloads(scale)):
-        run = run_benchmark(wl, "dsw", num_cores=num_cores)
+    workloads = workloads or default_table2_workloads(scale)
+    runs = run_points([(wl, "dsw", num_cores) for wl in workloads])
+    for wl, run in zip(workloads, runs):
         result.rows.append(Table2Row(
             info=wl.info(),
             measured_barriers=run.num_barriers(),

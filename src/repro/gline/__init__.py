@@ -2,20 +2,18 @@
 
 from .barrier import GLBarrier
 from .context import Hierarchy, SyncContext, partition, total_wires
-from .controllers import BarRegFile, MasterH, MasterV, SlaveH, SlaveV
 from .gline import GLine
 from .hierarchical import HierarchicalGLineBarrier
 from .multibarrier import build_contexts, build_submesh_context
-from .network import GLineBarrierNetwork, ReleaseGate
+from .network import GLineBarrierNetwork
 from .timemux import build_time_multiplexed
 
 __all__ = [
     "GLBarrier",
     "Hierarchy", "SyncContext", "partition", "total_wires",
-    "BarRegFile", "MasterH", "MasterV", "SlaveH", "SlaveV",
     "GLine",
     "HierarchicalGLineBarrier",
     "build_contexts", "build_submesh_context",
-    "GLineBarrierNetwork", "ReleaseGate",
+    "GLineBarrierNetwork",
     "build_time_multiplexed",
 ]

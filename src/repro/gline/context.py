@@ -2,19 +2,22 @@
 
 :class:`SyncContext` is the base of the barrier network
 (:mod:`repro.gline.network`) and of the collective network
-(:mod:`repro.collectives.network`).  It holds once what both do alike:
-the register write and its slot alignment, the power-gated clock, the
-watchdog token, the quarantine and its bounded report log, the wire
-probe and the sinks.  Each network keeps its own fabric, tick, fault
-handling, report strings and stat names.  :class:`Hierarchy` is the
-cluster grid and per-level fan-out of the two hierarchical wrappers.
+(:mod:`repro.collectives.network`).  Each wraps one
+:class:`~repro.collectives.fabric.CollectiveFabric` -- the barrier runs
+its zero-round kind -- and this holds once what both do alike around
+it: the register write and its slot alignment, the power-gated clock,
+the watchdog token, the quarantine and its bounded report log, the wire
+probe, the fault injector's hook and the sinks.  Each network keeps its
+own tick, fault handling, report strings and stat names.
+:class:`Hierarchy` is the cluster grid and per-level fan-out of the two
+hierarchical wrappers.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..common.errors import CapacityError, ConfigError
 from ..common.params import GLineConfig
@@ -25,6 +28,9 @@ from ..obs.observability import Observability
 from ..sim.component import Component
 from ..sim.engine import Engine
 from .gline import GLine
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..collectives.fabric import CollectiveFabric
 
 #: Event priority for network ticks: same-cycle register writes (normal
 #: priority 0) become visible to the tick that samples that cycle.
@@ -67,7 +73,8 @@ class SyncContext(Component):
     #: what this context is, and what to use instead.
     what: str
     scale_out: str
-    #: Each network's own wires, clock tick and watchdog expiry.
+    #: Each network's own fabric, wires, clock tick and watchdog expiry.
+    fabric: CollectiveFabric
     lines: list[GLine]
     _tick: Callable[[], None]
     _watchdog_check: Callable[..., None]
@@ -107,6 +114,9 @@ class SyncContext(Component):
         #: When the open episode's first and last register writes landed.
         self._first_arrival: int | None = None
         self._last_arrival: int | None = None
+        #: The first release that beat an arrival: (cycle, cores
+        #: arrived).  Only the barrier network detects one.
+        self.first_early_release: tuple[int, int] | None = None
 
         # ---- fault state (repro.faults) ------------------------------ #
         #: Set by CMP when a FaultPlan is enabled; perturbs the wires once
@@ -274,7 +284,14 @@ class SyncContext(Component):
         return self.stats
 
     def set_injector(self, injector: Any) -> None:
+        """Let *injector* perturb the wires of every tick (None: no
+        faults)."""
         self.injector = injector
+        self.fabric.perturb_hook = (self._perturb if injector is not None
+                                    else None)
+
+    def _perturb(self, lines: list[GLine]) -> None:
+        self.injector.perturb_glines(lines, now=self.now)
 
     def set_stats(self, stats: StatsRegistry) -> None:
         """Re-point the measurement sink (chip ``reset_stats`` hook)."""

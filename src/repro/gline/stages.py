@@ -1,9 +1,8 @@
 """Stage gating: which stages of a G-line fabric the next tick visits.
 
-The barrier network (:mod:`repro.gline.network`) and the collective
-fabric (:mod:`repro.collectives.fabric`) are both built of *stages*:
-each mesh row, and the first column, is a master, its slaves and their
-wire pair.  Only a stage's own controllers drive and read its wires, so
+The collective fabric (:mod:`repro.collectives.fabric`), which the
+barrier network runs on too, is built of *stages*: each mesh row, and
+the first column, is a master, its slaves and their wire pair.  Only a stage's own controllers drive and read its wires, so
 a stage whose controllers will not act next tick, with no hand-off
 pending and no wire forced this cycle, would leave a tick exactly as it
 entered it.  A tick visits the other stages only.

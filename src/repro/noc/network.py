@@ -15,6 +15,8 @@ and every later message between the pair reuses it.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..common.params import NocConfig
 from ..common.stats import StatsRegistry
 from ..obs import events as obs_ev
@@ -25,12 +27,12 @@ from .packet import Message
 from .router import Router
 from .topology import Mesh2D
 
-#: One (src, dst) route: its links in path order, then its source,
-#: destination and intermediate routers.
-_Route = tuple[tuple[Link, ...], Router, Router, tuple[Router, ...]]
+#: One (src, dst) route: its links (a network's own link objects) in
+#: path order, then its source, destination and intermediate routers.
+Route = tuple[tuple[Any, ...], Router, Router, tuple[Router, ...]]
 #: One row or column in one direction: its links in travel order and
 #: the routers they leave.
-_Chain = tuple[tuple[Link, ...], tuple[Router, ...]]
+_Chain = tuple[tuple[Any, ...], tuple[Router, ...]]
 
 
 def fault_defer(net, msg: Message) -> bool:
@@ -71,6 +73,64 @@ def fault_defer(net, msg: Message) -> bool:
     return True
 
 
+class XYRoutes:
+    """The XY routes of a mesh, as runs of its per-row and per-column
+    link chains.  *links* maps each directed (tile, neighbour) pair to
+    a network's own link object; *routers* holds one router per tile.
+    """
+
+    def __init__(self, mesh: Mesh2D, links: dict[tuple[int, int], Any],
+                 routers: list[Router]) -> None:
+        self.mesh = mesh
+        self.routers = routers
+
+        def chain(tiles: range) -> _Chain:
+            """The links joining consecutive *tiles*, and the routers of
+            the tiles they leave, in order."""
+            return (tuple(links[pair] for pair in zip(tiles, tiles[1:])),
+                    tuple(routers[t] for t in tiles[:-1]))
+
+        # Each row's tiles eastward and westward, and each column's
+        # southward and northward: an XY route is a run of its source
+        # row, then a run of its destination column.
+        rows, cols = mesh.rows, mesh.cols
+        self._east = [chain(range(r * cols, (r + 1) * cols))
+                      for r in range(rows)]
+        self._west = [chain(range((r + 1) * cols - 1, r * cols - 1, -1))
+                      for r in range(rows)]
+        self._south = [chain(range(c, rows * cols, cols))
+                       for c in range(cols)]
+        self._north = [chain(range((rows - 1) * cols + c, -1, -cols))
+                       for c in range(cols)]
+
+    def route(self, src: int, dst: int) -> Route:
+        """The XY route from *src* to *dst*: along the source's row to
+        the destination's column, then along that column.
+        ``Mesh2D.coords`` checks that both tiles exist."""
+        mesh = self.mesh
+        row, col = mesh.coords(src)
+        dst_row, dst_col = mesh.coords(dst)
+        if dst_col >= col:
+            row_links, row_leave = self._east[row]
+            along_row = slice(col, dst_col)
+        else:
+            # A westward chain starts at the row's last column.
+            row_links, row_leave = self._west[row]
+            along_row = slice(mesh.cols - 1 - col, mesh.cols - 1 - dst_col)
+        if dst_row >= row:
+            col_links, col_leave = self._south[dst_col]
+            along_col = slice(row, dst_row)
+        else:
+            # A northward chain starts at the column's last row.
+            col_links, col_leave = self._north[dst_col]
+            along_col = slice(mesh.rows - 1 - row, mesh.rows - 1 - dst_row)
+        routers = self.routers
+        # Every router a link leaves, but the source's, is passed through.
+        return (row_links[along_row] + col_links[along_col],
+                routers[src], routers[dst],
+                (row_leave[along_row] + col_leave[along_col])[1:])
+
+
 class Network(Component):
     """Packet-level 2D-mesh interconnect."""
 
@@ -90,22 +150,10 @@ class Network(Component):
         for t in range(self.mesh.num_tiles):
             for n in self.mesh.neighbors(t):
                 self.links[(t, n)] = Link(t, n)
-        # Each row's tiles eastward and westward, and each column's
-        # southward and northward, as links and the routers they leave:
-        # an XY route is a run of its source row, then a run of its
-        # destination column.
-        rows, cols = config.rows, config.cols
-        self._east = [self._chain(range(r * cols, (r + 1) * cols))
-                      for r in range(rows)]
-        self._west = [self._chain(range((r + 1) * cols - 1, r * cols - 1,
-                                        -1))
-                      for r in range(rows)]
-        self._south = [self._chain(range(c, rows * cols, cols))
-                       for c in range(cols)]
-        self._north = [self._chain(range((rows - 1) * cols + c, -1, -cols))
-                       for c in range(cols)]
-        #: Route per (src, dst) pair, built by :meth:`_route` on first use.
-        self._routes: dict[tuple[int, int], _Route] = {}
+        #: Builds a (src, dst) pair's route; ``_routes`` keeps each one
+        #: from its first use.
+        self._route = XYRoutes(self.mesh, self.links, self.routers).route
+        self._routes: dict[tuple[int, int], Route] = {}
         self._contention = config.model_contention
         #: From a message's tail leaving a link to the message competing
         #: for the next one: wire propagation, then the next router.
@@ -147,39 +195,6 @@ class Network(Component):
         # Injection: pay the source router pipeline, then start hopping.
         self.engine.schedule(self.config.router_latency, self._hop, msg,
                              links, 0, flits)
-
-    def _chain(self, tiles: range) -> _Chain:
-        """The links joining consecutive *tiles*, and the routers of the
-        tiles they leave, in order."""
-        return (tuple(self.links[pair] for pair in zip(tiles, tiles[1:])),
-                tuple(self.routers[t] for t in tiles[:-1]))
-
-    def _route(self, src: int, dst: int) -> _Route:
-        """The XY route from *src* to *dst*: along the source's row to
-        the destination's column, then along that column.
-        ``Mesh2D.coords`` checks that both tiles exist."""
-        mesh = self.mesh
-        row, col = mesh.coords(src)
-        dst_row, dst_col = mesh.coords(dst)
-        if dst_col >= col:
-            row_links, row_leave = self._east[row]
-            along_row = slice(col, dst_col)
-        else:
-            # A westward chain starts at the row's last column.
-            row_links, row_leave = self._west[row]
-            along_row = slice(mesh.cols - 1 - col, mesh.cols - 1 - dst_col)
-        if dst_row >= row:
-            col_links, col_leave = self._south[dst_col]
-            along_col = slice(row, dst_row)
-        else:
-            # A northward chain starts at the column's last row.
-            col_links, col_leave = self._north[dst_col]
-            along_col = slice(mesh.rows - 1 - row, mesh.rows - 1 - dst_row)
-        routers = self.routers
-        # Every router a link leaves, but the source's, is passed through.
-        return (row_links[along_row] + col_links[along_col],
-                routers[src], routers[dst],
-                (row_leave[along_row] + col_leave[along_col])[1:])
 
     # ------------------------------------------------------------------ #
     def _hop(self, msg: Message, links: tuple[Link, ...], index: int,

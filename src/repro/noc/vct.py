@@ -38,19 +38,10 @@ from ..common.stats import StatsRegistry
 from ..obs import events as obs_ev
 from ..sim.component import Component
 from ..sim.engine import Engine
-from .network import fault_defer
+from .network import Route, XYRoutes, fault_defer
 from .packet import Message
 from .router import Router
 from .topology import Mesh2D
-
-
-@dataclass
-class _Packet:
-    msg: Message
-    flits: int
-    path: list[int]
-    #: Index of the router currently holding (or streaming) the packet.
-    hop: int = 0
 
 
 @dataclass
@@ -64,6 +55,16 @@ class _LinkState:
     waiters: deque = field(default_factory=deque)
     #: Flits sent; at one flit per cycle, also the busy cycles.
     flits_carried: int = 0
+
+
+@dataclass
+class _Packet:
+    msg: Message
+    flits: int
+    #: The links of the packet's XY route, in path order.
+    links: tuple[_LinkState, ...]
+    #: Index of the link the packet competes for or crosses next.
+    hop: int = 0
 
 
 class VCTNetwork(Component):
@@ -84,6 +85,10 @@ class VCTNetwork(Component):
             for n in self.mesh.neighbors(t):
                 self.links[(t, n)] = _LinkState(t, n,
                                                 free_flits=buffer_flits)
+        #: Builds a (src, dst) pair's route; ``_routes`` keeps each one
+        #: from its first use.
+        self._route = XYRoutes(self.mesh, self.links, self.routers).route
+        self._routes: dict[tuple[int, int], Route] = {}
 
     # ------------------------------------------------------------------ #
     def send(self, msg: Message) -> None:
@@ -99,7 +104,11 @@ class VCTNetwork(Component):
         message re-enters here later."""
         if self.injector is not None and fault_defer(self, msg):
             return
-        path = self.mesh.route(msg.src, msg.dst)
+        key = (msg.src, msg.dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(msg.src, msg.dst)
+        links, source, dest, between = route
         flits = self.config.flits(msg.size_bytes)
         if flits > self.buffer_flits:
             # A packet must fit in one input buffer (packet-granular VCT).
@@ -107,25 +116,24 @@ class VCTNetwork(Component):
             self.stats.bump("vct.oversize_packets")
         else:
             flits_capped = flits
-        msg.hops = len(path) - 1
+        msg.hops = len(links)
         self.stats.add_message(msg.category, flits, msg.hops)
-        self.routers[msg.src].injected += 1
-        self.routers[msg.dst].ejected += 1
-        for mid in path[1:-1]:
-            self.routers[mid].forwarded += 1
+        source.injected += 1
+        dest.ejected += 1
+        for router in between:
+            router.forwarded += 1
         if self.tracer.enabled:
             self.tracer.emit(self.now, self.name, obs_ev.NOC_SEND,
                              src=msg.src, dst=msg.dst, msg_kind=msg.kind,
                              flits=flits, hops=msg.hops)
-        packet = _Packet(msg, flits_capped, path)
+        packet = _Packet(msg, flits_capped, links)
         # Injection pipeline, then compete for the first link.
         self.schedule(self.config.router_latency, self._request_hop,
                       packet)
 
     # ------------------------------------------------------------------ #
     def _request_hop(self, packet: _Packet) -> None:
-        link = self.links[(packet.path[packet.hop],
-                           packet.path[packet.hop + 1])]
+        link = packet.links[packet.hop]
         link.waiters.append(packet)
         if self.metrics is not None:
             # Router input-queue depth at the moment a packet lines up.
@@ -159,13 +167,12 @@ class VCTNetwork(Component):
 
         # Release the *upstream* buffer when the tail leaves this router.
         if packet.hop > 0:
-            upstream = self.links[(packet.path[packet.hop - 1],
-                                   packet.path[packet.hop])]
+            upstream = packet.links[packet.hop - 1]
             self.engine.schedule_at(tail_leaves_upstream,
                                     self._release, upstream, packet.flits)
 
         packet.hop += 1
-        if packet.hop + 1 < len(packet.path):
+        if packet.hop < len(packet.links):
             # Cut-through: compete for the next hop as the header arrives.
             self.engine.schedule_at(header_at_next, self._request_hop,
                                     packet)
@@ -177,8 +184,7 @@ class VCTNetwork(Component):
 
     def _eject(self, packet: _Packet) -> None:
         # Free the final input buffer.
-        final_link = self.links[(packet.path[-2], packet.path[-1])]
-        self._release(final_link, packet.flits)
+        self._release(packet.links[-1], packet.flits)
         self._deliver(packet.msg)
 
     def _release(self, link: _LinkState, flits: int) -> None:

@@ -37,6 +37,7 @@ GL_WIRE = "gline.wire"                    # one wire's sampled level/count
 GL_FSM = "gline.fsm"                      # master-controller register state
 GL_RELEASE = "gline.release"              # cores released this cycle
 GL_EPISODE = "gline.episode"              # one completed barrier episode
+GL_EARLY_RELEASE = "gline.early_release"  # released with a core missing
 GL_WATCHDOG_RETRY = "gline.watchdog.retry"
 GL_WATCHDOG_FAILOVER = "gline.watchdog.failover"
 GL_PROBE = "gline.recovery.probe"          # idle-cycle wire probe episode
@@ -70,7 +71,7 @@ DIR_MSG = "dir.msg"
 ALL_KINDS = frozenset({
     ENGINE_RUN_BEGIN, ENGINE_RUN_END,
     CORE_BARRIER_ENTER, CORE_BARRIER_RESUME, CORE_STRAGGLER, CORE_FAILSTOP,
-    GL_ARRIVE, GL_WIRE, GL_FSM, GL_RELEASE, GL_EPISODE,
+    GL_ARRIVE, GL_WIRE, GL_FSM, GL_RELEASE, GL_EPISODE, GL_EARLY_RELEASE,
     GL_WATCHDOG_RETRY, GL_WATCHDOG_FAILOVER,
     GL_PROBE, GL_READMIT, GL_REDEGRADE,
     GL_REDUCE_ARRIVE, GL_REDUCE_START, GL_REDUCE_ROUND, GL_REDUCE_RESULT,

@@ -1,7 +1,8 @@
 """Explicit-state model checking for the G-line barrier protocol.
 
-``repro.verify`` reduces the G-line barrier -- the per-row Master/Slave
-FSMs of :mod:`repro.gline.controllers`, the S-CSMA wire semantics of
+``repro.verify`` reduces the G-line barrier -- the per-row master/slave
+FSMs of the barrier kind of :mod:`repro.collectives.fabric`, the S-CSMA
+wire semantics of
 :mod:`repro.gline.gline` and the watchdog/failover hardening of
 :mod:`repro.faults` -- to a compact, hashable transition system
 (:class:`GLBarrierModel`) and exhaustively enumerates every reachable

@@ -340,7 +340,7 @@ class CollectiveModel:
         if not self.symmetric:
             return state
         (rm, rs, cm, cs, kind, row_fed, col_done, gready, result,
-         bc, skip, delivered, row_w, bw, stuck) = state[0]
+         bc, skip, delivered, row_w, bw, stuck, *_barrier) = state[0]
         cores = state[1]
         inj_left = state[2]
 

@@ -1,7 +1,7 @@
 """Model extraction: the G-line barrier as a finite transition system.
 
-This module reduces the four controller FSMs of
-:mod:`repro.gline.controllers`, the wire/S-CSMA semantics of
+This module reduces the Figure-4 controllers of the barrier kind of
+:mod:`repro.collectives.fabric`, the wire/S-CSMA semantics of
 :mod:`repro.gline.gline` and the watchdog/failover machinery of
 :mod:`repro.gline.network` to a compact, hashable state -- a ``bytes``
 string of small registers -- plus one deterministic *tick* per step.  The
@@ -14,7 +14,7 @@ State layout (all single bytes)::
 
     per row r (R blocks):   Scnt Mcnt flag rel_trig  Ma Mr Mcd sv_sent
                             then per horizontal slave: a r signaling cd
-    MasterV block:          Scnt Mcnt done validating
+    column-master block:    Scnt Mcnt done validating
     tail:                   since_all wd retries quarantined
                             row_validated episodes_done
                             recovery_state probe_timer probation_left
@@ -31,10 +31,14 @@ ticks (0 = idle).
 
 One model step = deliver a chosen set of arrivals (the environment
 action), run the watchdog bookkeeping, then execute one network tick with
-the exact sub-phase ordering of ``GLineBarrierNetwork._tick``: assert
-(MasterH, SlaveH, SlaveV, MasterV last), fault injection, the hardened
-release-line guard, sample (MasterV first, then MasterH, SlaveV, SlaveH),
-the single-row degenerate release, release completion, fault handling.
+the sub-phase order of ``CollectiveFabric.tick`` on the barrier kind:
+assert (each row's master, then its slaves; the column last, so the
+release it hands row 0 is consumed next tick), fault injection, the
+hardened release-line guard, sample (the column master reads row 0's
+flag as latched at the end of the previous tick, as it reads every other
+row's through a column slave), the hand-offs -- the single-row
+degenerate release among them -- then, in ``GLineBarrierNetwork._tick``,
+release completion and fault handling.
 Cycle-accuracy is exact along fault-free paths; under fault scenarios the
 model collapses the network's dormant cycles and is therefore
 behavior-equivalent rather than cycle-identical (see
@@ -56,10 +60,10 @@ target with a core missing.
 
 Symmetry reduction: horizontal slaves within a row are interchangeable
 (their blocks are kept sorted), as are entire rows 1..R-1 (row 0 hosts
-MasterV and is special) unless the scenario damages a specific row >= 1.
-Canonical states shrink the reachable space by roughly the product of the
-per-row factorials while preserving all checked properties, which are
-permutation-invariant.
+the column master and is special) unless the scenario damages a
+specific row >= 1.  Canonical states shrink the reachable space by
+roughly the product of the per-row factorials while preserving all
+checked properties, which are permutation-invariant.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ ROW_FIXED = 8
 #: Per-slave sub-block: arrivals, releases, signaling, cooldown.
 SL_A, SL_R, SL_SIG, SL_CD = range(4)
 SLAVE = 4
-#: MasterV block offsets (relative to ``mv_off``).
+#: Column-master block offsets (relative to ``mv_off``).
 V_SC, V_MC, V_DONE, V_VAL = range(4)
 MV = 4
 #: Tail offsets (relative to ``tail_off``).  The recovery bytes stay 0
@@ -543,7 +547,7 @@ class GLBarrierModel:
         t, mv = self.tail_off, self.mv_off
         released: List[Tuple[int, int]] = []  # (row, slave_i); -1=master
 
-        # ---- assert phase: MasterH, SlaveH, SlaveV, MasterV ---------- #
+        # ---- assert phase: rows (master, slaves), then the column ---- #
         drove_h = [False] * rows
         row_rel_level = [False] * rows
         row_tx_count = [0] * rows
@@ -581,7 +585,7 @@ class GLBarrierModel:
             if s[mv + V_DONE]:
                 col_rel_level = True
                 drove_v = True
-                s[RT] = 1  # row-0 MasterH trigger, consumed next tick
+                s[RT] = 1  # row 0's release trigger, consumed next tick
                 s[mv + V_SC] = s[mv + V_MC] = s[mv + V_DONE] = 0
 
         # ---- wire faults land between assert and sample -------------- #
@@ -623,7 +627,7 @@ class GLBarrierModel:
                 col_rel_level = False
                 spurious = True
 
-        # ---- sample phase: MasterV first, then MasterH, SlaveV, SlaveH #
+        # ---- sample phase: the column master reads row 0's old flag -- #
         # The release stage cleared the master's bar_reg during the
         # assert phase, but the model's MA/MR accounting only happens in
         # _end_of_step -- so the `MA == MR + 1` predicate is stale for
@@ -632,7 +636,7 @@ class GLBarrierModel:
         suspected = False
         if rows > 1:
             s[mv + V_SC] = min(s[mv + V_SC] + col_tx_eff, self.mv_cap)
-            if s[FL]:  # row-0 flag as latched before MasterH samples
+            if s[FL]:  # row-0 flag as latched before row 0 samples
                 s[mv + V_MC] = 1
             if self.hardened and s[mv + V_SC] > self.mv_target:
                 suspected = True

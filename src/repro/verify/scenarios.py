@@ -267,10 +267,10 @@ class ScenarioInjector:
 class Mutation:
     """A deliberate protocol bug in one controller.
 
-    ``target`` selects the damage: ``"mh"`` lowers every MasterH's
-    ``num_slaves`` by one (a row flags complete with a slave still
-    missing), ``"mv"`` lowers MasterV's (the chip releases with a row
-    still gathering) -- both the classic early-release bug class of
+    ``target`` selects the damage: ``"mh"`` lowers every row master's
+    ``n_slaves`` by one (a row flags complete with a slave still
+    missing), ``"mv"`` lowers the column master's (the chip releases
+    with a row still gathering) -- both the classic early-release bug class of
     barrier hardware.  ``"shadow"`` disables probation's shadow
     cross-check in the recovery FSM: the one guard standing between a
     one-shot gather glitch and a silent early release.
@@ -294,10 +294,10 @@ class Mutation:
     def apply_to_network(self, net: Any) -> None:
         """Damage a live ``GLineBarrierNetwork`` identically to the model."""
         if self.target == "mh":
-            for mh in net.masters_h:
-                mh.num_slaves -= 1
+            for m in net.fabric.rmasters:
+                m.n_slaves -= 1
         elif self.target == "mv":
-            net.master_v.num_slaves -= 1
+            net.fabric.colmaster.n_slaves -= 1
         else:
             if net.recovery is None:
                 raise ValueError("the shadow mutation needs a network "
@@ -382,6 +382,16 @@ SCENARIOS: Dict[str, FaultScenario] = {s.name: s for s in [
         start="probation", probation_barriers=2,
         glitch_role="row_tx", glitch_row=0,
         expect=EXPECT_PASS),
+    FaultScenario(
+        name="healthy-glitch",
+        description="the same one-shot gather glitch on a hardened "
+                    "network in HEALTHY: no shadow cross-check runs "
+                    "outside probation, so the count landing exactly on "
+                    "target releases the chip with a slave missing -- "
+                    "the limit of the hardened guards",
+        watchdog_budget=8, recovery=True,
+        glitch_role="row_tx", glitch_row=0,
+        expect=EXPECT_VIOLATION),
 ]}
 
 #: The canonical fault-free scenario (model default).
@@ -389,12 +399,13 @@ FAULT_FREE = SCENARIOS["fault-free"]
 
 MUTATIONS: Dict[str, Mutation] = {m.name: m for m in [
     Mutation(name="mh-early-flag",
-             description="every MasterH gathers to num_slaves-1: a row "
+             description="every row master gathers to num_slaves-1: a row "
                          "flags complete with one slave missing",
              target="mh"),
     Mutation(name="mv-early-done",
-             description="MasterV gathers to num_rows-2: the chip release "
-                         "starts with one row still gathering",
+             description="the column master gathers to num_rows-2: the "
+                         "chip release starts with one row still "
+                         "gathering",
              target="mv"),
     Mutation(name="probation-skip-shadow",
              description="probation skips the shadow cross-check: under "

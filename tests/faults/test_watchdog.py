@@ -6,13 +6,17 @@ import pytest
 
 from helpers import make_chip
 from repro import CMP, CMPConfig
+from repro.common.errors import DeadlockError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.faults import FAILOVER, FaultPlan
 from repro.gline.hierarchical import HierarchicalGLineBarrier
 from repro.gline.network import GLineBarrierNetwork
 from repro.gline.timemux import build_time_multiplexed
+from repro.obs import Observability, RingTracer
+from repro.obs import events as obs_ev
 from repro.sim.engine import Engine
+from repro.workloads import StressWorkload
 from repro.workloads.synthetic import SyntheticBarrierWorkload
 
 HARDENED = dict(watchdog_budget=32, watchdog_retries=2)
@@ -245,3 +249,33 @@ def test_watchdog_with_injected_stuck_faults_end_to_end():
     assert first[1] >= 1                       # faults actually injected
     assert first[3] >= 1                       # and software finished them
     assert first == one_run()                  # seeded => reproducible
+
+
+def test_early_release_is_reported_and_named_by_the_deadlock():
+    """A gather glitch and miscount land row counts on target with core
+    13 missing: episode 1 releases 15 of 16 cores at cycle 1,350, which
+    neither the atomicity guard nor a shadow check (there is none
+    outside probation) withholds.  The release is counted and traced
+    where it happens; core 13 stays an episode behind until the run
+    deadlocks, and the deadlock names the early release."""
+    cfg = CMPConfig.for_cores(16)
+    cfg = cfg.with_(gline=replace(cfg.gline, watchdog_budget=64,
+                                  watchdog_retries=2),
+                    faults=FaultPlan(seed=6, gline_glitch_rate=0.01,
+                                     scsma_miscount_rate=0.01))
+    tracer = RingTracer(capacity=None, kinds={obs_ev.GL_EARLY_RELEASE})
+    chip = CMP(cfg, barrier="gl", obs=Observability(tracer=tracer))
+    with pytest.raises(DeadlockError) as err:
+        chip.run(StressWorkload(ops_per_core=20, barriers=6, locks=4,
+                                seed=6))
+    assert chip.stats.counters["faults.gline.early_releases"] == 1
+    (event,) = list(tracer)
+    assert (event.time, event.source) == (1350, "glnet")
+    assert event.detail == {"cores": 15, "arrived": 15, "of": 16}
+    assert chip.barrier_impl.networks[0].first_early_release == (1350, 15)
+    assert err.value.blocked_cores == (13,)
+    message = str(err.value)
+    assert message.startswith("simulation deadlocked at cycle 40872: ")
+    assert "(core 13: SpinUntil)" in message
+    assert "glnet released early at cycle 1350 with 15 of 16 cores " \
+        "arrived" in message

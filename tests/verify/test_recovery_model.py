@@ -11,7 +11,7 @@ simulator, closing the model <-> hardware loop for the recovery path.
 import pytest
 
 from repro.verify import (GLBarrierModel, P_FLAP, P_RECOVERY, PROVED,
-                          SKIPPED, concretize, expectation_verdict,
+                          SKIPPED, VIOLATED, concretize, expectation_verdict,
                           explore, get_scenario, replay_on_simulator)
 
 RECOVERY_SCENARIOS = ["intermittent-row-tx-recovers",
@@ -73,3 +73,25 @@ def test_shadow_mutation_caught_and_confirmed_on_simulator():
                                   scenario=scenario,
                                   glitches=conc.glitches)
     assert not guarded.confirmed, guarded.summary()
+
+
+def test_healthy_glitch_releases_early_outside_probation():
+    """What ``repro.gline.recovery``'s docstring says, stated by the
+    checker: a hardened network in HEALTHY runs no shadow cross-check,
+    so a gather glitch that lands row 0's count exactly on target
+    releases the chip with a slave missing.  The counterexample replays
+    on the real network and releases early there too."""
+    scenario = get_scenario("healthy-glitch")
+    model = GLBarrierModel(2, 2, scenario=scenario)
+    result = explore(model)
+    assert (result.states, result.transitions) == (99, 366)
+    assert result.properties["safety"] == VIOLATED
+    matched, why = expectation_verdict(scenario, result)
+    assert matched, why
+
+    conc = concretize(model, result.violation.action_indices)
+    assert conc.violating and conc.glitches
+    replay = replay_on_simulator(2, 2, conc.schedules, scenario=scenario,
+                                 glitches=conc.glitches)
+    assert replay.confirmed
+    assert "EARLY RELEASE CONFIRMED" in replay.summary()
