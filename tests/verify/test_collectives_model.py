@@ -156,3 +156,17 @@ def test_counterexample_roundtrips_to_dict():
     assert d["mutation"] == "master-skip-own"
     assert d["counterexample"]["schedule"]
     assert d["verdicts"][P_COLL_VALUE] == VIOLATED
+
+
+def test_tail_bound_admits_completion_on_the_last_tick():
+    # The longest tail of this model takes exactly 8 ticks: a bound of 8
+    # proves termination, a bound of 7 is one tick short.
+    def run(max_ticks):
+        return explore_collective(CollectiveModel(1, 2, "sum", width=2),
+                                  max_ticks=max_ticks)
+
+    assert run(8).verdicts == {p: PROVED for p in COLLECTIVE_PROPERTIES}
+    short = run(7)
+    assert short.verdicts[P_COLL_TERMINATION] == VIOLATED
+    assert short.counterexample.message == "no completion within 7 ticks"
+    assert short.counterexample.at_tick == 7
