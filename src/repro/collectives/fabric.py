@@ -757,19 +757,22 @@ class CollectiveFabric:
             self.gate_open, self._validated,
         )
 
-    def restore(self, snap: tuple) -> None:
+    def restore(self, snap: tuple, held: tuple | None = None) -> None:
+        """Put the fabric back in state *snap*.  *held*, if given, is
+        the snapshot the fabric is in now: only the controllers whose
+        part of *snap* differs from it are restored.  The wires and the
+        derived wake and integrity fields are reset either way."""
         (rm, rs, cm, cs, kind, row_fed, col_done, global_ready, result,
          bc_started, skip_root, delivered, row_w, bw, stuck,
          self.gate_open, self._validated) = snap
-        for m, s in zip(self.rmasters, rm):
-            m.restore(s)
-        for row, snaps in zip(self.rslaves, rs):
-            for sl, s in zip(row, snaps):
-                sl.restore(s)
-        if self.colmaster is not None:
+        old_rm, old_rs, old_cm, old_cs = (
+            held[:4] if held is not None else (None, None, None, None))
+        _restore_changed(self.rmasters, rm, old_rm)
+        for i, row in enumerate(self.rslaves):
+            _restore_changed(row, rs[i], old_rs and old_rs[i])
+        if self.colmaster is not None and (held is None or cm != old_cm):
             self.colmaster.restore(cm)
-        for sl, s in zip(self.colslaves, cs):
-            sl.restore(s)
+        _restore_changed(self.colslaves, cs, old_cs)
         self.kind = kind
         self._row_fed = list(row_fed)
         self._col_done = col_done
@@ -790,3 +793,16 @@ class CollectiveFabric:
         self._int_new = [0, 0, 0]
         self._int_exhausted = any(m.int_exhausted for m in masters)
         self._stage_gate.wake_all()
+
+
+def _restore_changed(ctrls: list[StageMaster] | list[StageSlave],
+                     snaps: tuple, held: tuple | None) -> None:
+    """Restore each controller of *ctrls* from *snaps*, or, given the
+    *held* snapshots they are in now, only those that differ."""
+    if held is None:
+        for ctrl, snap in zip(ctrls, snaps):
+            ctrl.restore(snap)
+    elif snaps != held:
+        for ctrl, snap, old in zip(ctrls, snaps, held):
+            if snap != old:
+                ctrl.restore(snap)

@@ -431,7 +431,7 @@ def lift_trace(events: Iterable[TraceEvent], rows: int, cols: int, *,
     model_rel: Dict[int, int] = {}
     t = t0
     while t <= horizon:
-        before = model._core_regs(state)
+        before = model._releases(state)
         try:
             state = model.step_cores(state, arrivals.get(t, []))
         except PropertyViolation as exc:
@@ -442,8 +442,7 @@ def lift_trace(events: Iterable[TraceEvent], rows: int, cols: int, *,
             mismatches.append(f"trace arrival not admissible at cycle "
                               f"{t}: {exc}")
             break
-        released = sum(1 for (_, rb), (_, ra)
-                       in zip(before, model._core_regs(state))
+        released = sum(1 for rb, ra in zip(before, model._releases(state))
                        if ra > rb)
         if released:
             model_rel[t] = released

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scenarios import FAULT_FREE, FaultScenario, Mutation, get_mutation
@@ -212,6 +213,36 @@ class GLBarrierModel:
         self.tail_off = self.mv_off + MV
         self.size = self.tail_off + TAIL
 
+        # Every core's arrival and release register, masters then
+        # slaves, read in one call; and the blocks the canonical form
+        # sorts: each row's slave region and its slaves, then rows 1..R-1.
+        a_offs: List[int] = []
+        r_offs: List[int] = []
+        self._slave_regions: List[Tuple[slice, List[slice]]] = []
+        #: Each row's slave block offsets; every core's cooldown byte.
+        self._slave_offs: List[List[int]] = []
+        self._cooldowns: List[int] = []
+        for r in range(rows):
+            base = r * self.row_size
+            a_offs.append(base + MA)
+            r_offs.append(base + MR)
+            sb = base + ROW_FIXED
+            blocks = [slice(sb + i * SLAVE, sb + (i + 1) * SLAVE)
+                      for i in range(self.num_slaves_h)]
+            self._slave_offs.append([blk.start for blk in blocks])
+            self._cooldowns += [base + MCD] + [blk.start + SL_CD
+                                               for blk in blocks]
+            a_offs += [blk.start + SL_A for blk in blocks]
+            r_offs += [blk.start + SL_R for blk in blocks]
+            if len(blocks) > 1:
+                self._slave_regions.append(
+                    (slice(sb, base + self.row_size), blocks))
+        self._arrivals = itemgetter(*a_offs)
+        self._releases = itemgetter(*r_offs)
+        self._row_region = slice(self.row_size, rows * self.row_size)
+        self._row_blocks = [slice(r * self.row_size, (r + 1) * self.row_size)
+                            for r in range(1, rows)]
+
         # Static per-wire faults: role -> (stuck | None, count_delta).
         self._fault: Dict[Tuple[str, int], Tuple[Optional[int], int]] = {}
         if scenario.role is not None:
@@ -271,42 +302,26 @@ class GLBarrierModel:
     def _canon(self, s: bytearray) -> bytearray:
         if not self.symmetric:
             return s
-        for r in range(self.rows):
-            base = r * self.row_size + ROW_FIXED
-            blocks = sorted(bytes(s[base + i * SLAVE:
-                                    base + (i + 1) * SLAVE])
-                            for i in range(self.num_slaves_h))
-            for i, blk in enumerate(blocks):
-                s[base + i * SLAVE: base + (i + 1) * SLAVE] = blk
+        for region, blocks in self._slave_regions:
+            s[region] = b"".join(sorted([s[blk] for blk in blocks]))
         if self.sort_rows:
-            rows = sorted(bytes(s[r * self.row_size:
-                                  (r + 1) * self.row_size])
-                          for r in range(1, self.rows))
-            for k, blk in enumerate(rows):
-                base = (1 + k) * self.row_size
-                s[base: base + self.row_size] = blk
+            s[self._row_region] = b"".join(
+                sorted([s[blk] for blk in self._row_blocks]))
         return s
 
-    def _core_regs(self, s: Sequence[int]) -> List[Tuple[int, int]]:
-        """(arrivals, releases) of every core, masters then slaves."""
-        out = []
-        for r in range(self.rows):
-            base = r * self.row_size
-            out.append((s[base + MA], s[base + MR]))
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
-                out.append((s[off + SL_A], s[off + SL_R]))
-        return out
+    def _waiting(self, s: Sequence[int]) -> List[bool]:
+        """Whether each core's bar_reg is set, masters then slaves."""
+        return [a == r + 1 for a, r in zip(self._arrivals(s),
+                                           self._releases(s))]
 
     def _all_waiting(self, s: Sequence[int]) -> bool:
-        return all(a == r + 1 for a, r in self._core_regs(s))
+        return all(self._waiting(s))
 
     def _any_waiting(self, s: Sequence[int]) -> bool:
-        return any(a == r + 1 for a, r in self._core_regs(s))
+        return any(self._waiting(s))
 
     def _waiting_count(self, s: Sequence[int]) -> int:
-        return sum(a == r + 1 for a, r in self._core_regs(s))
+        return sum(self._waiting(s))
 
     def is_complete(self, s: Sequence[int]) -> bool:
         """All episodes done and every core released from the last one."""
@@ -432,13 +447,11 @@ class GLBarrierModel:
             base = r * self.row_size
             if m_arr:
                 s[base + MA] += 1
-            sb = base + ROW_FIXED
             for blk, count in slave_choices:
                 remaining = count
-                for i in range(self.num_slaves_h):
+                for off in self._slave_offs[r]:
                     if remaining == 0:
                         break
-                    off = sb + i * SLAVE
                     if s[off: off + SLAVE] == blk \
                             and s[off + SL_A] == s[off + SL_R]:
                         s[off + SL_A] += 1
@@ -569,10 +582,8 @@ class GLBarrierModel:
                     s[mv + V_SC] = s[mv + V_MC] = s[mv + V_DONE] = 0
                 elif r >= 1:
                     s[base + SVS] = 0
-        for r in range(rows):
-            sb = r * self.row_size + ROW_FIXED
-            for i in range(nsh):
-                off = sb + i * SLAVE
+        for r, offs in enumerate(self._slave_offs):
+            for off in offs:
                 if s[off + SL_SIG] and s[off + SL_A] == s[off + SL_R] + 1:
                     row_tx_count[r] += 1
                     s[off + SL_SIG] = 0
@@ -672,11 +683,11 @@ class GLBarrierModel:
                 base = r * self.row_size
                 if s[base + SVS] and col_rel_level:
                     s[base + RT] = 1
-        for r in range(rows):
-            sb = r * self.row_size + ROW_FIXED
-            for i in range(nsh):
-                off = sb + i * SLAVE
-                if not s[off + SL_SIG] and row_rel_level[r]:
+        for r, offs in enumerate(self._slave_offs):
+            if not row_rel_level[r]:
+                continue
+            for i, off in enumerate(offs):
+                if not s[off + SL_SIG]:
                     s[off + SL_SIG] = 1
                     if s[off + SL_A] == s[off + SL_R] + 1:
                         released.append((r, i))
@@ -787,13 +798,17 @@ class GLBarrierModel:
     def _end_of_step(self, s: bytearray,
                      released: List[Tuple[int, int]]) -> None:
         t = self.tail_off
-        regs = self._core_regs(s)
-        min_arrived = min(a for a, _ in regs)
+        min_arrived = min(self._arrivals(s))
+        cooling: List[int] = []
         for row, slave_i in released:
-            base = row * self.row_size
-            off_a = base + MA if slave_i < 0 \
-                else base + ROW_FIXED + slave_i * SLAVE + SL_A
-            off_r = off_a + (MR - MA if slave_i < 0 else SL_R - SL_A)
+            if slave_i < 0:
+                base = row * self.row_size
+                off_a, off_r = base + MA, base + MR
+                cooling.append(base + MCD)
+            else:
+                blk = self._slave_offs[row][slave_i]
+                off_a, off_r = blk + SL_A, blk + SL_R
+                cooling.append(blk + SL_CD)
             new_r = s[off_r] + 1
             if new_r > s[off_a]:
                 raise PropertyViolation(
@@ -810,24 +825,13 @@ class GLBarrierModel:
 
         # Cooldowns: a released core's re-arrival is visible no earlier
         # than two steps later (write latency), matching barreg timing.
-        released_set = set(released)
-        for r in range(self.rows):
-            base = r * self.row_size
-            if (r, -1) in released_set:
-                s[base + MCD] = 1
-            elif s[base + MCD]:
-                s[base + MCD] = 0
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
-                if (r, i) in released_set:
-                    s[off + SL_CD] = 1
-                elif s[off + SL_CD]:
-                    s[off + SL_CD] = 0
+        for off in self._cooldowns:
+            s[off] = 0
+        for off in cooling:
+            s[off] = 1
 
         # Episode completion + the 4-cycle theorem.
-        regs = self._core_regs(s)
-        min_released = min(r for _, r in regs)
+        min_released = min(self._releases(s))
         if min_released > s[t + T_EPS]:
             if self.check_four_cycle and not s[t + T_Q]:
                 ticks = s[t + T_SA] + 1
@@ -850,7 +854,7 @@ class GLBarrierModel:
             s[t + T_RV] = 0
         elif not s[t + T_Q]:
             k = s[t + T_EPS] + 1
-            if k <= self.episodes and all(a >= k for a, _ in regs):
+            if k <= self.episodes and min_arrived >= k:
                 ticks = min(s[t + T_SA] + 1, _SA_CAP)
                 if self.check_four_cycle \
                         and ticks > self.completion_bound:
