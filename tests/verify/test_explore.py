@@ -11,14 +11,17 @@ import pytest
 from repro.verify import (ALL_PROPERTIES, GLBarrierModel, NOT_PROVED,
                           PROVED, VIOLATED, explore, replay_actions)
 
-#: (rows, cols, episodes) -> (states, transitions).
+#: (rows, cols, episodes) -> (states, transitions).  The 3x3
+#: two-episode model is the one ``benchmarks/e2e``'s ``sweep`` explores.
 GOLDEN = {
     (2, 2, 1): (28, 87),
     (1, 4, 1): (10, 24),
     (2, 4, 1): (84, 900),
     (3, 3, 1): (199, 3981),
+    (4, 4, 1): (1488, 234829),
     (2, 2, 2): (55, 174),
     (1, 4, 2): (19, 48),
+    (3, 3, 2): (397, 7962),
 }
 
 
