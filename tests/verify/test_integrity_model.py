@@ -9,8 +9,9 @@ proofs here establish:
   wrong value (violated + replay-confirmed on the real network);
 * ``echo`` and ``residue`` are *detection-complete at k=1*: no
   undetected wrong value exists on any mesh up to 4x4 (the two 4x4
-  explorations take minutes and run under ``REPRO_VERIFY_EXHAUSTIVE=1``,
-  which CI's integrity job sets; every smaller mesh is proved here);
+  explorations take 2.5 and 5 minutes and run under
+  ``REPRO_VERIFY_EXHAUSTIVE=1``, which CI's integrity job sets; every
+  smaller mesh is proved here);
 * the bound is *tight*: at k=2 the adversary defeats echo (corrupt both
   samples of one round identically) and residue (a data-round /
   digit-round pair whose deltas agree mod 15), and both defeats
@@ -29,7 +30,9 @@ from repro.verify import (CollectiveModel, P_COLL_VALUE, PROVED, VIOLATED,
                           explore_collective, replay_collective)
 
 ALL_MESHES = [(r, c) for r in range(1, 5) for c in range(1, 5)]
-#: 4x4 explorations run ~3-4 minutes each; everything smaller is <1 min.
+#: The 4x4 explorations take about 2.5 minutes (echo, 337,540 states)
+#: and 5 minutes (residue, 676,235 states); every smaller mesh takes
+#: under a minute, the slowest (4x3) about 55 s.
 FAST_MESHES = [m for m in ALL_MESHES if m != (4, 4)]
 EXHAUSTIVE = os.environ.get("REPRO_VERIFY_EXHAUSTIVE") == "1"
 
@@ -58,7 +61,7 @@ def test_detection_complete_k1_all_meshes(rows, cols):
 
 
 @pytest.mark.skipif(not EXHAUSTIVE,
-                    reason="4x4 adversary proofs take ~4 min each; "
+                    reason="4x4 adversary proofs take 2.5-5 min each; "
                            "set REPRO_VERIFY_EXHAUSTIVE=1 (CI does)")
 @pytest.mark.parametrize("mode", ["echo", "residue"])
 def test_detection_complete_k1_4x4(mode):
