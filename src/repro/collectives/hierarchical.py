@@ -140,7 +140,8 @@ class HierarchicalCollectiveNetwork(Hierarchy):
         if delay and self.segment_mode:
             # Whether the core joins a software cohort is decided at its
             # col_reg write: decide once the delay has passed.
-            self.schedule(delay, self.arrive, core_id, kind, value, resume)
+            self.schedule_batched(self.now + delay, self.arrive, core_id,
+                                  kind, value, resume)
             return
         cluster = self.clusters[self.cluster_of[core_id]]
         if self.segment_mode and not self.quarantined:
@@ -242,7 +243,7 @@ class HierarchicalCollectiveNetwork(Hierarchy):
             release = self.now + seg["latency"]
         for _value, resume in pend:
             if resume is not None:
-                self.engine.schedule_at(release, resume, outcome)
+                self.schedule_batched(release, resume, outcome)
 
     # ------------------------------------------------------------------ #
     def failover(self) -> None:
@@ -263,7 +264,7 @@ class HierarchicalCollectiveNetwork(Hierarchy):
             seg["kind"] = None
             for _value, resume in pend:
                 if resume is not None:
-                    self.engine.schedule_at(self.now + 1, resume, FAILOVER)
+                    self.schedule_batched(self.now + 1, resume, FAILOVER)
         self._failing = False
 
     # ------------------------------------------------------------------ #

@@ -215,7 +215,7 @@ class CollectiveNetwork(SyncContext):
             self._delivered_locals.add(local)
             resume = self._resumes.pop(local, None)
             if resume is not None:
-                self.engine.schedule_at(release_time, resume, value)
+                self.schedule_batched(release_time, resume, value)
             if self.tracer.enabled:
                 self.tracer.emit(self.now, self.name,
                                  obs_ev.GL_REDUCE_RESULT,
@@ -289,7 +289,7 @@ class CollectiveNetwork(SyncContext):
         root_resume = self._resumes.pop(0, None)
         self._delivered_locals.add(0)
         if root_resume is not None:
-            self.engine.schedule_at(self.now + 1, root_resume, value)
+            self.schedule_batched(self.now + 1, root_resume, value)
         if self.tracer.enabled:
             self.tracer.emit(self.now, self.name, obs_ev.GL_REDUCE_RESULT,
                              core=self.core_ids[0], value=value,
@@ -457,13 +457,13 @@ class CollectiveNetwork(SyncContext):
         for local in sorted(self._resumes):
             resume = self._resumes[local]
             if resume is not None:
-                self.engine.schedule_at(release_time, resume, outcome)
+                self.schedule_batched(release_time, resume, outcome)
         # Next-episode arrivals always bounce: nothing of *their* episode
         # ran in hardware, and the quarantined network routes the rest of
         # their cohort to software on arrival.
         for _core_id, _kind, _value, resume in self._pending:
             if resume is not None:
-                self.engine.schedule_at(release_time, resume, FAILOVER)
+                self.schedule_batched(release_time, resume, FAILOVER)
         self._pending.clear()
         self._resumes.clear()
         self._delivered_locals.clear()

@@ -193,8 +193,9 @@ class Core(Component):
         if self.barrier_binding is None:
             raise SimulationError(
                 f"core {self.cid}: no barrier implementation bound")
-        self._note_barrier(obs_ev.CORE_BARRIER_ENTER,
-                           barrier=op.barrier_id)
+        if self.tracer.enabled or self.flight is not None:
+            self._note_barrier(obs_ev.CORE_BARRIER_ENTER,
+                               barrier=op.barrier_id)
         delay = 0
         if self.injector is not None:
             delay = self._entry_faults(barrier=op.barrier_id)
@@ -215,8 +216,9 @@ class Core(Component):
             raise SimulationError(
                 f"core {self.cid}: no collective implementation bound "
                 f"(enable CMPConfig.collectives)")
-        self._note_barrier(obs_ev.CORE_BARRIER_ENTER,
-                           collective=op.kind, ident=op.ident)
+        if self.tracer.enabled or self.flight is not None:
+            self._note_barrier(obs_ev.CORE_BARRIER_ENTER,
+                               collective=op.kind, ident=op.ident)
         delay = 0
         if self.injector is not None:
             # Same fault surface as a barrier arrival: a collective is a

@@ -57,6 +57,10 @@ class GLBarrier(BarrierImpl):
         self.networks = list(networks)
         self.config = config or GLineConfig()
         self.fallback = fallback
+        #: Each context's arrival op without a fallback: it depends on
+        #: the context alone, so every core yields the same one.
+        self._arrivals = [HWBarrierArrive(net, self.config.entry_overhead)
+                          for net in self.networks]
         #: Cores of the current episode already committed to the software
         #: fallback, per context.  While non-zero, *every* core of that
         #: episode goes software even if the recovery controller re-admits
@@ -72,7 +76,7 @@ class GLBarrier(BarrierImpl):
         net = self.networks[barrier_id]
         overhead = self.config.entry_overhead
         if self.fallback is None:
-            if (yield HWBarrierArrive(net, overhead)) == FAILOVER:
+            if (yield self._arrivals[barrier_id]) == FAILOVER:
                 raise GLineError(
                     f"barrier context {barrier_id} failed over but no "
                     f"software fallback is configured")

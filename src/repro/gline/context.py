@@ -150,12 +150,13 @@ class SyncContext(Component):
                *args: Any) -> None:
         """Schedule a register write the core issues *delay* cycles from
         now: *land* runs when it becomes visible, ``barreg_write_cycles``
-        later and, on a time-multiplexed context, in its next slot."""
+        later and, on a time-multiplexed context, in its next slot.
+        Writes that land in one cycle back to back share one event."""
         delay += self.gl_config.barreg_write_cycles
         if self.slot is not None:
             delay += (self.slot - self.now - delay) \
                 % self.gl_config.line_latency
-        self.schedule(delay, land, *args)
+        self.schedule_batched(self.now + delay, land, *args)
 
     def _bounced(self, resume: Callable[..., None] | None) -> bool:
         """True if the watchdog retired this context; *resume* then gets
@@ -163,7 +164,7 @@ class SyncContext(Component):
         if not self.quarantined:
             return False
         if resume is not None:
-            self.schedule(0, resume, FAILOVER)
+            self.schedule_batched(self.now, resume, FAILOVER)
         return True
 
     def _clock(self, delay: int = 0) -> None:

@@ -119,7 +119,8 @@ class HierarchicalGLineBarrier(Hierarchy):
         if delay and self.segment_mode:
             # Whether the core joins a software cohort is decided at its
             # bar_reg write: decide once the delay has passed.
-            self.schedule(delay, self.arrive, core_id, resume)
+            self.schedule_batched(self.now + delay, self.arrive, core_id,
+                                  resume)
             return
         # +write latency: mirrors GLineBarrierNetwork's episode stamps,
         # which record the bar_reg-visible time.
@@ -180,7 +181,7 @@ class HierarchicalGLineBarrier(Hierarchy):
         release_time = self.now + self._sw_latency[k]
         for resume in self._drain_segment(k):
             if resume is not None:
-                self.engine.schedule_at(release_time, resume)
+                self.schedule_batched(release_time, resume)
         self._cluster_released(k)
 
     def _drain_segment(self, k: int):
@@ -212,8 +213,8 @@ class HierarchicalGLineBarrier(Hierarchy):
             if pend:
                 for resume in pend:
                     if resume is not None:
-                        self.engine.schedule_at(self.now + 1, resume,
-                                                FAILOVER)
+                        self.schedule_batched(self.now + 1, resume,
+                                              FAILOVER)
                 return
             self.clusters[k].failover()
             return

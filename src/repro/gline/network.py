@@ -216,11 +216,11 @@ class GLineBarrierNetwork(SyncContext):
                                  obs_ev.GL_EARLY_RELEASE,
                                  cores=len(released), arrived=self._arrived,
                                  of=self.num_cores)
-        # Cores resume at the end of the release cycle.
+        # Cores resume at the end of the release cycle, in one event.
         release_time = self.now + 1
         for resume in released:
             if resume is not None:
-                self.engine.schedule_at(release_time, resume)
+                self.schedule_batched(release_time, resume)
         self._arrived -= len(released)
         if self.tracer.enabled:
             self.tracer.emit(self.now, self.name, obs_ev.GL_RELEASE,
@@ -262,7 +262,7 @@ class GLineBarrierNetwork(SyncContext):
         release_time = self.now + 1
         for resume in released:
             if resume is not None:
-                self.engine.schedule_at(release_time, resume, FAILOVER)
+                self.schedule_batched(release_time, resume, FAILOVER)
         self._arrived -= len(released)
         self.failover(reason=reason)
 
@@ -345,7 +345,7 @@ class GLineBarrierNetwork(SyncContext):
         for local in sorted(self._waiting):
             resume = self._waiting[local]
             if resume is not None:
-                self.engine.schedule_at(release_time, resume, FAILOVER)
+                self.schedule_batched(release_time, resume, FAILOVER)
         self._waiting.clear()
         self._arrived = 0
         self._first_arrival = None

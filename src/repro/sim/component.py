@@ -38,5 +38,19 @@ class Component:
                  priority: int = 0) -> None:
         self.engine.schedule(delay, callback, *args, priority=priority)
 
+    def schedule_batched(self, time: int, callback: Callback,
+                         *args: Any) -> None:
+        """Run ``callback(*args)`` at cycle *time*, in one engine event
+        with the calls this component batched just before it for that
+        cycle (:meth:`Engine.schedule_batch`).  The batch is this
+        component's event, so a profiler times it as this component's
+        layer."""
+        self.engine.schedule_batch(time, self._run_batch, (callback, args))
+
+    def _run_batch(self, calls: list[tuple[Callback, tuple[Any, ...]]]
+                   ) -> None:
+        for callback, args in calls:
+            callback(*args)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

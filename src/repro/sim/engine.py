@@ -9,6 +9,8 @@ The engine is deliberately minimal -- per the profiling-first guidance, the
 hot path is ``schedule`` + ``run``'s pop loop, so both avoid any allocation
 beyond the event tuple itself.  ``run`` keeps a lean loop for the common
 case of draining the queue with no budget and no order log.
+``schedule_batch`` folds calls that would run back to back in that
+order into one event: a G-line release of k cores costs one event.
 
 It is the only engine: ``tests/sim/test_engine_order.py`` pins its
 execution order against a minimal list-based reference, and chip-level
@@ -30,7 +32,9 @@ class Engine:
     """Deterministic discrete-event engine with integer cycle time."""
 
     __slots__ = ("_queue", "_now", "_seq", "_running", "_cancelled",
-                 "events_executed", "tracer", "order_log")
+                 "events_executed", "tracer", "order_log", "_batch_seq",
+                 "_batch_time", "_batch_run", "_batch_items",
+                 "_batch_executed")
 
     def __init__(self) -> None:
         self._queue: list[tuple[int, int, int, Callback, tuple[Any, ...]]] = []
@@ -48,6 +52,14 @@ class Engine:
         #: Determinism tests compare two runs' logs event for event;
         #: ``None`` (the default) costs one attribute read per run() call.
         self.order_log: Optional[list[tuple[int, int, int, str]]] = None
+        #: The last batch ``schedule_batch`` pushed: its sequence number,
+        #: cycle, ``run`` and item list, and ``events_executed`` when it
+        #: was pushed.
+        self._batch_seq = -1
+        self._batch_time = 0
+        self._batch_run: Optional[Callback] = None
+        self._batch_items: list[Any] = []
+        self._batch_executed = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -91,6 +103,46 @@ class Engine:
         heapq.heappush(self._queue, (time, priority, self._seq,
                                      callback, args))
         return self._seq
+
+    def schedule_batch(self, time: int, run: Callable[[list[Any]], None],
+                       item: Any) -> None:
+        """Schedule ``run(items)`` at absolute cycle ``time``, priority 0,
+        with *item* in ``items``; returns no handle.
+
+        *item* joins the most recently scheduled event instead of
+        pushing one when that event is a batch of the same *run* (bound
+        methods compare equal when they bind one function to one
+        object) for the same cycle, nothing has been scheduled since it
+        (``_seq`` has not moved), and it has not started: its cycle is
+        still ahead, or no event has run since it was pushed.  *run*
+        must call its items in list order.
+
+        An item joins only where its own event would have been the next
+        one in ``(time, priority, seq)`` order, so a batch runs its
+        items exactly as separate events would.  Whatever an item
+        schedules gets a later ``seq`` than the batch and runs after
+        its last item, as it would after the last separate event; this
+        holds as long as no item schedules an event for its own cycle
+        with a negative priority.  An item that raises drops the items
+        after it.
+
+        A batch is one event: it counts once for ``events_executed``,
+        ``max_events``, ``order_log`` (under *run*'s name) and
+        ``step()``.
+        """
+        if (self._seq == self._batch_seq and time == self._batch_time
+                and (time > self._now
+                     or self.events_executed == self._batch_executed)
+                and run == self._batch_run):
+            self._batch_items.append(item)
+            return
+        items = [item]
+        self.schedule_at(time, run, items)
+        self._batch_seq = self._seq
+        self._batch_time = time
+        self._batch_run = run
+        self._batch_items = items
+        self._batch_executed = self.events_executed
 
     def cancel(self, handle: int) -> None:
         """Cancel the event identified by *handle* (a value returned by

@@ -58,14 +58,17 @@ def _hierarchical64():
                        SyntheticBarrierWorkload(iterations=3))
 
 
-#: name -> (scenario, trace events, cycles, trace sha256).
+#: name -> (scenario, trace events, cycles, trace sha256).  The hashes
+#: were re-pinned when same-cycle register writes and core resumes began
+#: to share batch events: the last event, ``engine.run.end``, reports the
+#: smaller executed-event count, and no other event changed.
 TRACE_PINS = {
     "flat-stress64": (_flat_stress64, 12710, 14378,
-        "d7af6fd998dff02dc09dd6dc932974cf74418849bd3570ca559e542d7b5b1f7d"),
+        "af240fcdc9078728e0cfa3066d031a99c5d717b7be384b206c941f4ba8160637"),
     "hardened-faults16": (_hardened_faults16, 15531, 40351,
-        "4c8625acba4f6629d0f5c054421c50177fef94e5890c2e3f13e578aee0437e77"),
+        "6b9be016e1d3264471241dbbe7e2f7f23eb7e54b08158ba7f0ed3a0fab71966e"),
     "hierarchical64": (_hierarchical64, 4922, 204,
-        "81387cf9c26dccd2fc590a0c6dc1362e14f24f7d9c62cb481f4e67de71dc683c"),
+        "add919fbf9dfeeaf6b030b25eeb676f3b418c080399ca0b8a0509a4af0a4dbdc"),
 }
 
 

@@ -250,7 +250,10 @@ def _gl16_hardened_faults():
 #: added as they were, before the barrier and collective networks began
 #: to share one engine adapter.  The flat 8x8 stress and hardened fault
 #: pins were added as they were, before the barrier network's tick began
-#: to visit only the stages that can change.
+#: to visit only the stages that can change.  The event counts and order
+#: hashes of the ten G-line and collective pins were re-pinned when the
+#: register writes and core resumes that land back to back in one cycle
+#: began to share one batch event; their cycles and stats hashes held.
 PINS = {
     "csw16": (_csw16, 93209, 128197,
         "212c145aefb473920796aecee2c7cd7f39f2a629a240eabce3c9eff100c4a55c",
@@ -273,35 +276,35 @@ PINS = {
     "warmup": (_warmup, 9681, 11501,
         "9dead2aa8f937d30cf65c6acc2464b79bb4639d5218d3aee55702e537ca3edcd",
         "961709fbbed33f060857b8e3709f5d9288035fa09d1db8d29cb95b85a68f30c2"),
-    "gl16": (_gl16, 448, 156,
-        "a0a9d41db4c4014f905e6f44d8b0db28e5c2caa4d580f5de0fa2ec32db3d2317",
+    "gl16": (_gl16, 88, 156,
+        "c0b8ca17a9ff9705d49373fcd16381ff10449158c4aee413579ad255aa64283d",
         "ac9183c4fb990cd9297772f7748147d5f57677406bca2777e860701fabbfddc4"),
-    "gl64-hierarchical": (_gl64_hierarchical, 1936, 204,
-        "269e8cf48e6781fc63eeefc03eb75129f1e7845a09f59ea73a13a02d7c67135b",
+    "gl64-hierarchical": (_gl64_hierarchical, 436, 204,
+        "ea29e87bbdaeb72e25f2f3e4d5042bc79b8821fbcf9c625995c043c226380bdb",
         "682084ab77ca730d4501c98b6513179b468f858f7ebe78fbad1b1a661d9eb80f"),
-    "allreduce-echo64": (_allreduce_echo64, 6915, 1451,
-        "cfceff54e407480cd30b86c306f17072072c3641b213e25597134e8897917920",
+    "allreduce-echo64": (_allreduce_echo64, 6271, 1451,
+        "5c6c1238e6fb9d6e045bd447c6fc0a08dace2146765a4aa4ce4d8dcdf7cbbeb0",
         "7ae0a05109a5dd3d8cf0300420731014ac585491def9483575ee077d0cb1929d"),
-    "gl16-failover": (_gl16_failover, 308382, 422086,
-        "fddea8628ca6c8414b4ee504c309440a7929686425920ce75ac55ca52a4bb77e",
+    "gl16-failover": (_gl16_failover, 308352, 422086,
+        "fd428263a58a84d58520ccabffdc31f95aefc4e25ad03ff9da76c020ae7f2efd",
         "a58d44ece3ca4ec5b3ed69aca2e6ede6f74785e8f43c31d506216a6e5a35ecc0"),
-    "gl16-timemux": (_gl16_timemux, 178, 63,
-        "34b4efd234b06979379bea0b25319c1a34a3ae61e3a676ad6746f141236f3d85",
+    "gl16-timemux": (_gl16_timemux, 94, 63,
+        "0a1c792bbc7c266b3533b4ac5b9ea8b6fb3c628b7a8f90a71efd9c05498e4033",
         "66813b107821205a50c94995d751632f17ca18f6dec7aa100477cb297f7e6854"),
-    "allreduce16-slots2": (_allreduce16_slots2, 688, 931,
-        "11ca9ad8fa83ffa85b2e582445875fb85e2f7d327752d1346a1ad47352090a02",
+    "allreduce16-slots2": (_allreduce16_slots2, 512, 931,
+        "720b69a308a3168388b4c7520b0a891fb0131e51eb295f5ef3b358b26d7766a5",
         "efad4eecaf42b4785378b83e613e08cca8f1bcee0a6de6907d71557e12c6b57f"),
-    "gl64-segment-failover": (_gl64_segment_failover, 4009, 1201,
-        "a7e7f23fa39ec4ed3cdefe820490d7af20aa539e0e943838c249ae574cc991f5",
+    "gl64-segment-failover": (_gl64_segment_failover, 1781, 1201,
+        "b222902d30cca1d9ca15a2f9bde32b5f7b69726adfa7e214307501ca739878dd",
         "3a3fe0c8d958174caef67a128a74a579c2462b8ec048ca1dff176f74e2fe4c45"),
-    "allreduce16-failover": (_allreduce16_failover, 6930, 8008,
-        "b363017986822dac7cc7a3aa228bd57f630021492e6a575b571877ba0e65dda3",
+    "allreduce16-failover": (_allreduce16_failover, 6900, 8008,
+        "605cb257cd84a0145e82cec0da885087c462190e6aea202270abdeba02239cd4",
         "523929af685b2f93cc787766e982ef25ad732de2d5481a422bb17df92a72eeef"),
-    "gl64-flat-stress": (_gl64_flat_stress, 21918, 14378,
-        "b3db363a1a522281c0d39a41a0b5789b7f4722b257faf60abe073f4af15f1238",
+    "gl64-flat-stress": (_gl64_flat_stress, 21723, 14378,
+        "b9b9e0cc1184b3f6fc1467a95ea9dd19c023b1997d31d28f694b1f522ff99629",
         "ff9bcc93480405a8d0c361c0d60a7d3845c07630f94717f1006fdcb907ef79e4"),
-    "gl16-hardened-faults": (_gl16_hardened_faults, 28649, 40351,
-        "5068e23e07c981fdd6f81e3a59f195fded1ccba5c61849f8578f378ee7864bf8",
+    "gl16-hardened-faults": (_gl16_hardened_faults, 28577, 40351,
+        "43e56c7eafc0a422ecd4b53f93225f43f1b1caf336890bca886cca3cffb0b206",
         "708566d16a56ee02783488d01a5cd568bc16e4cc14c4e2b62fb9795f691d5cee"),
 }
 
