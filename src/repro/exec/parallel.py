@@ -13,6 +13,12 @@ keep it a drop-in replacement for the old sequential loops:
   byte-for-byte the same object graph.
 * **Order-preserving.**  ``run(specs)`` returns results positionally,
   regardless of which were hits and which ran where.
+* **One simulation per key per batch.**  With a cache, a spec whose key
+  already missed earlier in the same batch (a *repeat*) is not
+  dispatched: the key identifies its result exactly, so the repeat
+  counts as a hit and decodes its own copy of the first occurrence's
+  result (or, under ``keep_going``, gets its own copy of the failure).
+  A repeat takes no dispatch ordinal and writes no journal record.
 * **Parent-only cache writes.**  Workers only compute; the parent stores
   results *as they complete* (association-preserving async dispatch), so
   work finished before a batch error is never lost, and the cache needs
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator, Sequence
 
 from ..chip.results import RunResult
@@ -116,29 +123,49 @@ class ParallelRunner:
 
         Cache hits are served without simulating; misses are dispatched
         by the supervisor, then written back to the cache as each
-        completes.  Under ``keep_going`` a failed spec's slot is ``None``
-        and the failure is appended to :attr:`failures`.
+        completes.  A repeat of a key that missed earlier in this batch
+        is served from that first occurrence after dispatch.  Under
+        ``keep_going`` a failed spec's slot is ``None`` and the failure
+        is appended to :attr:`failures`.
         """
         results: list[RunResult | None] = [None] * len(specs)
         pending: list[tuple[int, RunSpec, str | None]] = []
+        first_miss: dict[str, int] = {}
+        repeats: list[tuple[int, int]] = []
         for i, spec in enumerate(specs):
             key = spec.key() if self.cache is not None else None
             if key is not None:
+                if key in first_miss:
+                    self._count_hit()
+                    repeats.append((i, first_miss[key]))
+                    continue
                 stored = self.cache.get(key)
                 if stored is not None:
-                    self.hits += 1
-                    self.metrics.counter("exec.cache.hits").inc()
+                    self._count_hit()
                     if self.journal is not None:
                         self.journal.hit(key)
                     results[i] = _result_decoder(spec)(stored)
                     continue
+                first_miss[key] = i
             self.misses += 1
             self.metrics.counter("exec.cache.misses").inc()
             pending.append((i, spec, key))
 
         if pending:
-            self.failures.extend(self._supervisor.dispatch(pending, results))
+            failures = self._supervisor.dispatch(pending, results)
+            failed = {failure.index: failure for failure in failures}
+            for i, first in repeats:
+                if first in failed:
+                    failures.append(replace(failed[first], index=i))
+                else:
+                    results[i] = _result_decoder(specs[i])(
+                        results[first].to_dict())
+            self.failures.extend(failures)
         return results  # type: ignore[return-value]
+
+    def _count_hit(self) -> None:
+        self.hits += 1
+        self.metrics.counter("exec.cache.hits").inc()
 
     def run_one(self, spec: RunSpec) -> RunResult:
         return self.run([spec])[0]

@@ -22,8 +22,10 @@ from typing import Generator
 
 from ..analysis.report import render_table
 from ..chip.cmp import CMP
+from ..chip.results import RunResult
 from ..common.params import CMPConfig, GLineConfig
 from ..cpu import isa
+from ..exec.spec import RunSpec
 from ..sync.dsw import CombiningTreeBarrier
 from ..workloads.base import Workload, WorkloadInfo
 from ..workloads.synthetic import SyntheticBarrierWorkload
@@ -134,6 +136,27 @@ def hierarchical_latency(core_counts=(16, 36, 49, 64, 144, 256),
     return out
 
 
+@dataclass
+class TreeAritySpec(RunSpec):
+    """A ``dsw`` run on a combining tree of *arity*, swapped in after the
+    chip has built its own.  The chip's tree keeps its addresses, so the
+    swapped one sits elsewhere and even arity 2 is not the plain ``dsw``
+    run: the arity enters the key."""
+
+    arity: int = 2
+
+    def fingerprint(self) -> dict:
+        return {**super().fingerprint(), "dsw_arity": self.arity}
+
+    def execute(self, obs=None) -> RunResult:
+        chip = CMP(self.config, barrier=self.barrier, obs=obs)
+        chip.barrier_impl = CombiningTreeBarrier(
+            chip.allocator, list(range(chip.num_cores)), arity=self.arity)
+        for tile in chip.tiles:
+            tile.core.barrier_binding = chip.barrier_impl
+        return chip.run(self.workload, max_events=self.max_events)
+
+
 def dsw_arity_sweep(arities=(2, 4, 8), num_cores: int = 32,
                     iterations: int = 50) -> SweepResult:
     """Combining-tree fan-in: wider trees mean fewer levels but more
@@ -141,14 +164,11 @@ def dsw_arity_sweep(arities=(2, 4, 8), num_cores: int = 32,
     out = SweepResult(
         title="Ablation: DSW combining-tree arity",
         headers=["Arity", "Cycles/barrier", "Messages"])
-    for arity in arities:
-        cfg = CMPConfig.for_cores(num_cores)
-        chip = CMP(cfg, barrier="dsw")
-        chip.barrier_impl = CombiningTreeBarrier(
-            chip.allocator, list(range(num_cores)), arity=arity)
-        for tile in chip.tiles:
-            tile.core.barrier_binding = chip.barrier_impl
-        run = chip.run(SyntheticBarrierWorkload(iterations=iterations))
+    specs = [TreeAritySpec(SyntheticBarrierWorkload(iterations=iterations),
+                           "dsw", CMPConfig.for_cores(num_cores),
+                           arity=arity)
+             for arity in arities]
+    for arity, run in zip(arities, run_many(specs)):
         out.rows.append([arity, run.total_cycles / run.num_barriers(),
                          run.total_messages()])
     return out

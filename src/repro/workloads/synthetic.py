@@ -30,9 +30,10 @@ class SyntheticBarrierWorkload(Workload):
 
     def programs(self, chip) -> list[Generator]:
         def program() -> Generator:
+            op = isa.BarrierOp()        # frozen: one serves every barrier
             for _ in range(self.iterations):
                 for _ in range(self.barriers_per_iter):
-                    yield isa.BarrierOp()
+                    yield op
 
         return [program() for _ in range(chip.num_cores)]
 

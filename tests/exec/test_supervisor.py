@@ -68,15 +68,19 @@ def _dse_specs(n=4, fidelity=1):
 
 
 class ExplodingSpec:
-    """A picklable non-RunSpec spec whose execution always raises."""
+    """A picklable non-RunSpec spec whose execution always raises; its
+    *tag* enters its key, so differently tagged specs are distinct."""
 
     max_events = None
 
+    def __init__(self, tag=0):
+        self.tag = tag
+
     def key(self):
-        return "boom" + "0" * 60
+        return f"boom{self.tag}".ljust(64, "0")
 
     def fingerprint(self):
-        return {"boom": True}
+        return {"boom": True, "tag": self.tag}
 
     def execute(self):
         raise ValueError("deterministic failure")
@@ -355,8 +359,9 @@ def test_pool_shrinks_on_crashes(tmp_path):
 
 def test_sigint_drains_flushes_and_reraises(tmp_path):
     journal = SweepJournal(tmp_path / "j.jsonl", argv=["test"])
-    runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "c"),
-                            timeout=60, journal=journal)
+    cache = ResultCache(tmp_path / "c")
+    runner = ParallelRunner(jobs=2, cache=cache, timeout=60,
+                            journal=journal)
     specs = [_spec(iterations=40, barrier=b, cores=16)
              for b in ("csw", "dsw", "gl")] * 2
     timer = threading.Timer(
@@ -368,6 +373,8 @@ def test_sigint_drains_flushes_and_reraises(tmp_path):
     finally:
         timer.cancel()
     assert not multiprocessing.active_children()     # no zombies
+    # The 16-core csw run takes seconds: the interrupt lands mid-batch.
+    assert specs[0].key() not in cache
     journal.interrupted()        # CLI layer would do this; idempotent
     journal.close()
     types = [r["type"] for r in
@@ -446,11 +453,13 @@ def test_runner_matches_direct_execution(tmp_path):
 def test_sim_error_fails_fast_in_a_worker(tmp_path):
     runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path),
                             keep_going=True)
-    results = runner.run([ExplodingSpec(), ExplodingSpec()])
+    results = runner.run([ExplodingSpec(0), ExplodingSpec(1)])
     assert results == [None, None]
     assert [f.kind for f in runner.failures] == ["sim-error"] * 2
     assert all("ValueError" in f.detail for f in runner.failures)
     assert "exec.retries" not in runner.metrics.to_dict()["counters"]
+    assert runner.metrics.to_dict()["gauges"]["exec.pool.width"] \
+        ["peak"] == 2                    # two workers, not inline
     assert_attempts_accounted(runner)
 
 

@@ -1,11 +1,18 @@
 """Experiment-driver tests (tiny configurations)."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
+from repro.common.params import CMPConfig
+from repro.exec import ParallelRunner, ResultCache, use_executor
 from repro.experiments import (ComputeBarrierWorkload, compare,
-                               entry_overhead_sweep, matches_paper,
-                               period_sweep, run_benchmark, run_fig5,
-                               run_fig6, run_fig7, run_table1, run_table2)
+                               dsw_arity_sweep, entry_overhead_sweep,
+                               make_spec, matches_paper, period_sweep,
+                               run_benchmark, run_fig5, run_fig6, run_fig7,
+                               run_table1, run_table2)
+from repro.experiments.ablations import TreeAritySpec
 from repro.workloads import Kernel3Workload, SyntheticBarrierWorkload
 
 
@@ -84,3 +91,24 @@ def test_compute_barrier_workload():
     res = chip.run(ComputeBarrierWorkload(work_cycles=100, iterations=3))
     assert res.num_barriers() == 3
     assert res.total_cycles >= 300
+
+
+def test_dsw_arity_sweep_is_one_cached_batch(tmp_path):
+    runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
+    with use_executor(runner):
+        cold = dsw_arity_sweep(arities=(2, 4), num_cores=4, iterations=2)
+        warm = dsw_arity_sweep(arities=(2, 4), num_cores=4, iterations=2)
+    assert (runner.misses, runner.hits) == (2, 2)
+    assert warm.rows == cold.rows
+
+
+def test_tree_arity_spec_keys_apart_from_plain_dsw():
+    """The swapped tree sits at other addresses than the chip's own, so
+    even arity 2 is not the plain ``dsw`` run."""
+    workload = SyntheticBarrierWorkload(iterations=2)
+    config = CMPConfig.for_cores(4)
+    spec = TreeAritySpec(workload, "dsw", config, arity=2)
+    plain = make_spec(workload, "dsw", 4, config=config)
+    assert spec.key() != plain.key()
+    assert spec.key() != replace(spec, arity=4).key()
+    assert pickle.loads(pickle.dumps(spec)).key() == spec.key()
