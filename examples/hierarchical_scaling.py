@@ -14,7 +14,8 @@ from repro import CMPConfig, StatsRegistry, mesh_dims
 from repro.analysis.report import render_table
 from repro.chip import CMP
 from repro.common.params import GLineConfig
-from repro.gline.multibarrier import build_contexts
+from repro.gline import (GLineBarrierNetwork, HierarchicalGLineBarrier,
+                         build_sync_contexts)
 from repro.sim.engine import Engine
 from repro.workloads import SyntheticBarrierWorkload
 
@@ -27,7 +28,9 @@ def main() -> None:
         cfg = CMPConfig.for_cores(cores).with_(gline=gline)
 
         # Inspect the organization the builder picks.
-        ctx = build_contexts(Engine(), StatsRegistry(cores), r, c, gline)[0]
+        ctx = build_sync_contexts(
+            GLineBarrierNetwork, HierarchicalGLineBarrier, Engine(),
+            StatsRegistry(cores), r, c, gline, name="glnet")[0]
         organization = type(ctx).__name__.replace("GLineBarrier", "") \
             .replace("Network", "flat")
 

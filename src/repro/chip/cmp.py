@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Generator, Iterable
 
 from ..collectives import (
-    GLCollective, SoftwareAllReduce, build_collective_contexts,
+    CollectiveNetwork, GLCollective, HierarchicalCollectiveNetwork,
+    SoftwareAllReduce,
 )
 from ..collectives.library import CollectiveImpl
 from ..common.errors import ConfigError, DeadlockError, SimulationError
@@ -24,8 +25,9 @@ from ..common.stats import StatsRegistry
 from ..cpu.core import Core
 from ..faults import FaultInjector
 from ..gline.barrier import GLBarrier
-from ..gline.context import Hierarchy
-from ..gline.multibarrier import build_contexts
+from ..gline.context import Hierarchy, build_sync_contexts
+from ..gline.hierarchical import HierarchicalGLineBarrier
+from ..gline.network import GLineBarrierNetwork
 from ..mem.address import AddressMap, Allocator
 from ..mem.directory import HomeController
 from ..mem.funcmem import FunctionalMemory
@@ -144,10 +146,10 @@ class CMP:
         kind = barrier.lower()
         ncontexts = self.config.gline.num_barriers
         if kind == "gl":
-            contexts = build_contexts(self.engine, self.stats,
-                                      self.config.noc.rows,
-                                      self.config.noc.cols,
-                                      self.config.gline)
+            contexts = build_sync_contexts(
+                GLineBarrierNetwork, HierarchicalGLineBarrier, self.engine,
+                self.stats, self.config.noc.rows, self.config.noc.cols,
+                self.config.gline, name="glnet", count=ncontexts)
             fallback = None
             if self.config.gline.watchdog_budget > 0:
                 # Hardened mode: provision the software barrier the
@@ -195,9 +197,11 @@ class CMP:
             return SoftwareAllReduce(self.allocator, self.config.num_cores,
                                      num_contexts=ncontexts,
                                      value_width=cc.value_width)
-        contexts = build_collective_contexts(
-            self.engine, self.stats, self.config.noc.rows,
-            self.config.noc.cols, self.config.gline, cc)
+        contexts = build_sync_contexts(
+            CollectiveNetwork, HierarchicalCollectiveNetwork, self.engine,
+            self.stats, self.config.noc.rows, self.config.noc.cols,
+            self.config.gline, name="coll", count=cc.num_contexts,
+            slots=cc.time_slots, coll_config=cc)
         fallback = None
         if cc.watchdog_budget > 0 or cc.integrity != "off":
             # Hardened mode: provision the software all-reduce the

@@ -3,7 +3,6 @@ all-reduce), the subsystem grown around the barrier network's S-CSMA
 counting wires."""
 
 from ..gline.context import total_wires
-from .build import build_collective_contexts
 from .config import CollectiveConfig
 from .controllers import MUTATIONS, StageMaster, StageSlave
 from .fabric import CollectiveFabric
@@ -13,7 +12,6 @@ from .network import CollectiveNetwork
 from .ops import (
     COMBINE_KIND, KINDS, MECHANISM, reference_reduce, result_width,
 )
-from .timemux import build_time_multiplexed
 
 __all__ = [
     "COMBINE_KIND",
@@ -29,8 +27,6 @@ __all__ = [
     "SoftwareAllReduce",
     "StageMaster",
     "StageSlave",
-    "build_collective_contexts",
-    "build_time_multiplexed",
     "reference_reduce",
     "result_width",
     "total_wires",

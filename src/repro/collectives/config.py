@@ -32,11 +32,12 @@ class CollectiveConfig:
     #: Operand width in bits; inputs are masked to this width.
     value_width: int = 8
     #: Independent in-flight operation contexts (``CollectiveOp.ident``
-    #: selects one), multiplexed like the multibarrier extension.
+    #: selects one), each with its own wires, as barrier contexts are.
     num_contexts: int = 1
     #: Time multiplexing: >1 shares one physical wire budget between
-    #: this many contexts by slot-interleaving their clocks.  1 (or 0)
-    #: replicates the wires per context (space multiplexing).
+    #: this many contexts by slot-interleaving their clocks, and is then
+    #: the context count.  1 (or 0) replicates the wires per context
+    #: (space multiplexing).
     time_slots: int = 1
     #: Hardening: once every core has arrived, the reduction must finish
     #: within this many cycles or the watchdog retries / fails over to
@@ -64,6 +65,11 @@ class CollectiveConfig:
             raise ConfigError("num_contexts must be >= 1")
         if self.time_slots < 0:
             raise ConfigError("time_slots must be >= 0")
+        if self.num_contexts > 1 and self.time_slots > 1:
+            raise ConfigError(
+                f"num_contexts={self.num_contexts} with time_slots="
+                f"{self.time_slots}: time multiplexing fixes the context "
+                f"count at time_slots, so num_contexts must be 1")
         if self.watchdog_budget < 0:
             raise ConfigError("watchdog_budget must be >= 0")
         if self.watchdog_retries < 0:

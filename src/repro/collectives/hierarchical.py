@@ -88,7 +88,7 @@ class HierarchicalCollectiveNetwork(Hierarchy):
         #: Per cluster, the resume its root arrives at the top with.
         self._top_resumes: dict[str, Callable[..., None]] = {}
         root_ids: list[int] = []
-        for cl_name, rl, cl, ids in self.grid:
+        for k, (cl_name, rl, cl, ids) in enumerate(self.grid):
             cl_net = CollectiveNetwork(
                 engine, stats, rl, cl, self.gl_config,
                 self.coll_config, name=cl_name,
@@ -108,8 +108,7 @@ class HierarchicalCollectiveNetwork(Hierarchy):
             self.clusters.append(cl_net)
             self._segments[cl_net.name] = {
                 "pend": [], "kind": None,
-                "latency": self.gl_config.entry_overhead
-                + 2 * (rl + cl)}
+                "latency": self.segment_latency[k]}
             root_ids.append(ids[0])
 
         top_coll = replace(self.coll_config, value_width=self.top_width)

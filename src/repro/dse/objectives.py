@@ -69,9 +69,9 @@ def _wires(spec: Any, result: Any) -> float:
         wires += gline_budget(rows, cols, cfg.gline.num_barriers).wires
     cc = cfg.collectives
     if cc.enabled and cc.backend == "gl":
-        slots = max(1, cc.time_slots)
-        physical = -(-cc.num_contexts // slots)  # ceil division
-        wires += gline_budget(rows, cols, physical).wires
+        # Time-multiplexed contexts share one network's wires, and then
+        # num_contexts is 1.
+        wires += gline_budget(rows, cols, cc.num_contexts).wires
     return float(wires)
 
 

@@ -124,11 +124,13 @@ def hierarchical_latency(core_counts=(16, 36, 49, 64, 144, 256),
         cfg = configs[n]
         run = runs[n]
         # Re-derive organization/wire count from a fresh context.
-        from ..gline.multibarrier import build_contexts
         from ..common.stats import StatsRegistry
+        from ..gline import (GLineBarrierNetwork, HierarchicalGLineBarrier,
+                             build_sync_contexts)
         from ..sim.engine import Engine
-        ctx = build_contexts(Engine(), StatsRegistry(n), rows, cols,
-                             cfg.gline)[0]
+        ctx = build_sync_contexts(
+            GLineBarrierNetwork, HierarchicalGLineBarrier, Engine(),
+            StatsRegistry(n), rows, cols, cfg.gline, name="glnet")[0]
         organization = type(ctx).__name__
         out.rows.append([n, f"{rows}x{cols}", organization,
                          run.total_cycles / run.num_barriers(),

@@ -10,13 +10,16 @@ the watchdog token, the quarantine and its bounded report log, the wire
 probe, the fault injector's hook and the sinks.  Each network keeps its
 own tick, fault handling, report strings and stat names.
 :class:`Hierarchy` is the cluster grid and per-level fan-out of the two
-hierarchical wrappers.
+hierarchical wrappers.  :func:`build_sync_contexts` alone decides a
+context's shape -- flat or hierarchical, replicated per context or
+time-multiplexed on one network's wires -- for both kinds.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..common.errors import CapacityError, ConfigError
@@ -61,10 +64,31 @@ def partition(dim: int, max_dim: int) -> list[tuple[int, int]]:
     return out
 
 
+def submesh_core_ids(mesh_cols: int, row0: int, col0: int, rows: int,
+                     cols: int) -> list[int]:
+    """Chip-level core ids, row-major, of the *rows* x *cols* sub-mesh
+    with top-left corner (*row0*, *col0*) of a mesh *mesh_cols* wide:
+    the ``core_ids`` of a flat network over that sub-mesh."""
+    if rows < 1 or cols < 1:
+        raise ConfigError("sub-mesh must be at least 1x1")
+    if row0 < 0 or col0 < 0:
+        raise ConfigError("sub-mesh origin must be non-negative")
+    if col0 + cols > mesh_cols:
+        # Unchecked, the ids of the overflowing columns wrap onto the
+        # next mesh row: a context that "works" but synchronizes the
+        # wrong cores.
+        raise ConfigError(
+            f"sub-mesh columns {col0}..{col0 + cols - 1} overflow a "
+            f"{mesh_cols}-column mesh (core ids would wrap to the next "
+            f"row)")
+    return [(row0 + r) * mesh_cols + (col0 + c)
+            for r in range(rows) for c in range(cols)]
+
+
 class SyncContext(Component):
     """One G-line barrier or collective context, as the engine sees it.
 
-    Only ``build_time_multiplexed`` sets *slot*: the context's
+    Only :func:`build_sync_contexts` sets *slot*: the context's
     ``line_latency`` is then the slot period, and every register write
     lands in its slot.  Without a slot nothing is aligned.
     """
@@ -337,13 +361,19 @@ class Hierarchy(Component):
         #: shape, and its chip-level core ids in row-major order.
         self.grid = [
             (f"{name}.c{ri}_{ci}", rlen, clen,
-             [(r0 + r) * cols + (c0 + c)
-              for r in range(rlen) for c in range(clen)])
+             submesh_core_ids(cols, r0, c0, rlen, clen))
             for ri, (r0, rlen) in enumerate(row_chunks)
             for ci, (c0, clen) in enumerate(col_chunks)]
         #: Chip-level core id -> index of its cluster in the grid.
         self.cluster_of = {cid: k for k, (_, _, _, ids)
                            in enumerate(self.grid) for cid in ids}
+        #: Per cluster, in grid order: the cycles of one leg, gather or
+        #: scatter, of the software cohort its cores form once its
+        #: network is retired (segment failover): a library-call entry
+        #: plus a NoC walk across the cluster's diameter.
+        self.segment_latency = [
+            gl_config.entry_overhead + 2 * (rlen + clen)
+            for _, rlen in row_chunks for _, clen in col_chunks]
 
     @property
     def levels(self) -> list[SyncContext]:
@@ -387,6 +417,42 @@ class Hierarchy(Component):
         self.metrics = obs.metrics
         for net in self.levels:
             net.set_obs(obs)
+
+
+def build_sync_contexts(flat: Callable[..., Any],
+                        hierarchical: Callable[..., Any], engine: Engine,
+                        stats: StatsRegistry, rows: int, cols: int,
+                        gl_config: GLineConfig, *, name: str,
+                        count: int = 1, slots: int = 1,
+                        **kwargs: Any) -> list[Any]:
+    """Build a chip's contexts of one kind, whose *flat* and
+    *hierarchical* network classes are each called with *kwargs*.
+
+    With *slots* > 1, that many *flat* contexts share one network's
+    wires by time slot: each runs at ``line_latency * slots``, slot *s*
+    at offset ``s * line_latency``, and they are named ``{name}.s{s}``.
+    Every stage hand-off then waits a slot period: a barrier takes
+    ``3 * slots + 1`` cycles plus up to ``slots - 1`` of alignment.
+    Otherwise *count* replicas, named *name* alone or ``{name}{k}``,
+    each *flat* when the mesh fits the S-CSMA fan-in and *hierarchical*
+    beyond it."""
+    max_dim = gl_config.max_transmitters + 1
+    fits = rows <= max_dim and cols <= max_dim
+    if slots > 1:
+        if not fits:
+            raise CapacityError(
+                f"time multiplexing shares one network's wires, which "
+                f"serve at most {max_dim}x{max_dim} cores; {rows}x{cols} "
+                f"needs the hierarchical variant, with one slot")
+        period = replace(gl_config,
+                         line_latency=gl_config.line_latency * slots)
+        return [flat(engine, stats, rows, cols, period, name=f"{name}.s{s}",
+                     slot=s * gl_config.line_latency, **kwargs)
+                for s in range(slots)]
+    build = flat if fits else hierarchical
+    return [build(engine, stats, rows, cols, gl_config,
+                  name=f"{name}{k}" if count > 1 else name, **kwargs)
+            for k in range(count)]
 
 
 def total_wires(contexts: Iterable[SyncContext | Hierarchy]) -> int:

@@ -56,7 +56,6 @@ class HierarchicalGLineBarrier(Hierarchy):
         self._top_resumes: list = []
         self._leader_sent: list[bool] = []
         self._gate_open_phase: list[bool] = []
-        self._sw_latency: list[int] = []
         for k, (cl_name, rlen, clen, ids) in enumerate(self.grid):
             net = GLineBarrierNetwork(
                 engine, stats, rlen, clen, self.config,
@@ -69,11 +68,6 @@ class HierarchicalGLineBarrier(Hierarchy):
             self._sw_pending.append([])
             self._leader_sent.append(False)
             self._gate_open_phase.append(False)
-            # Software-segment combine penalty: a library-call entry
-            # plus a NoC-ish gather/scatter across the cluster's
-            # diameter, paid once on gather and once on release.
-            self._sw_latency.append(
-                self.config.entry_overhead + 2 * (rlen + clen))
 
         # Second level: one participant per cluster.
         self.top = GLineBarrierNetwork(
@@ -173,12 +167,12 @@ class HierarchicalGLineBarrier(Hierarchy):
         # barrier through the top level after the combine penalty.
         # (_cluster_gathered is idempotent per episode, covering a
         # leader arrival already in flight from before the degrade.)
-        self.schedule(self._sw_latency[k], self._cluster_gathered, k)
+        self.schedule(self.segment_latency[k], self._cluster_gathered, k)
 
     def _scatter_segment(self, k: int) -> None:
         """Resume a complete software cohort (release-side penalty) and
         account the cluster's episode completion."""
-        release_time = self.now + self._sw_latency[k]
+        release_time = self.now + self.segment_latency[k]
         for resume in self._drain_segment(k):
             if resume is not None:
                 self.schedule_batched(release_time, resume)

@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 import repro.sim as sim
+from helpers import barrier_slots
 from repro.chip.cmp import CMP
 from repro.collectives.config import CollectiveConfig
 from repro.common.errors import ReproError
@@ -22,7 +23,6 @@ from repro.common.params import CMPConfig
 from repro.cpu import isa
 from repro.faults import FaultPlan
 from repro.gline.barrier import GLBarrier
-from repro.gline.timemux import build_time_multiplexed
 from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.workloads.collective import CollectiveAllReduceWorkload
@@ -64,8 +64,8 @@ def _timemux_barrier():
     # Two barrier contexts share one 4x4 network's wires by time slot;
     # staggered compute lands arrivals on and off each context's slot.
     def setup(chip):
-        ctxs = build_time_multiplexed(chip.engine, chip.stats, 4, 4,
-                                      chip.config.gline, num_slots=2)
+        ctxs = barrier_slots(chip.engine, chip.stats, 4, 4,
+                             chip.config.gline)
         chip.barrier_impl = GLBarrier(ctxs, chip.config.gline)
         for core in chip.cores:
             core.barrier_binding = chip.barrier_impl

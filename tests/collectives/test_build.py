@@ -1,18 +1,19 @@
-"""Context builders: replication, hierarchy selection and time
-multiplexing over one shared wire budget."""
+"""Collective contexts from the one builder: replication, hierarchy
+selection and time multiplexing over one shared wire budget.  The same
+decisions are pinned for both kinds in ``tests/gline/test_context.py``."""
 
 import random
 
 import pytest
 
 from repro.collectives import ops, total_wires
-from repro.collectives.build import build_collective_contexts
 from repro.collectives.config import CollectiveConfig
 from repro.collectives.hierarchical import HierarchicalCollectiveNetwork
 from repro.collectives.network import CollectiveNetwork
 from repro.common.errors import CapacityError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
+from repro.gline import build_sync_contexts
 from repro.sim.engine import Engine
 
 
@@ -20,8 +21,10 @@ def build(rows, cols, **cc_kwargs):
     engine = Engine()
     stats = StatsRegistry(rows * cols)
     cc = CollectiveConfig(enabled=True, **cc_kwargs)
-    return engine, build_collective_contexts(engine, stats, rows, cols,
-                                             GLineConfig(), cc)
+    return engine, build_sync_contexts(
+        CollectiveNetwork, HierarchicalCollectiveNetwork, engine, stats,
+        rows, cols, GLineConfig(), name="coll", count=cc.num_contexts,
+        slots=cc.time_slots, coll_config=cc)
 
 
 def test_flat_mesh_gets_flat_network():

@@ -22,6 +22,8 @@ def test_defaults_disabled():
     {"time_slots": -1},
     {"watchdog_budget": -1},
     {"watchdog_retries": -1},
+    # Time multiplexing fixes the context count at time_slots.
+    {"num_contexts": 4, "time_slots": 2},
 ])
 def test_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

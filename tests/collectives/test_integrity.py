@@ -13,14 +13,13 @@ from repro.collectives.controllers import M_ROUNDS
 from repro.collectives.fabric import CollectiveFabric
 from repro.collectives.hierarchical import HierarchicalCollectiveNetwork
 from repro.collectives.network import CollectiveNetwork
-from repro.collectives.timemux import build_time_multiplexed
 from repro.common.errors import ConfigError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.faults import FAILOVER
 from repro.gline.integrity import (INTEGRITY_MODES, RESIDUE_MOD,
                                    full_jitter, majority, residue_of)
-from repro.gline.context import FAILOVER_REPORT_CAP
+from repro.gline.context import FAILOVER_REPORT_CAP, build_sync_contexts
 from repro.sim.engine import Engine
 
 MODES = [m for m in INTEGRITY_MODES if m != "off"]
@@ -368,8 +367,9 @@ def test_timemux_context_exposes_integrity_counters():
     stats = StatsRegistry(4)
     cc = CollectiveConfig(enabled=True, value_width=4, integrity="echo",
                           time_slots=2)
-    ctxs = build_time_multiplexed(eng, stats, 2, 2,
-                                  GLineConfig(), cc)
+    ctxs = build_sync_contexts(
+        CollectiveNetwork, HierarchicalCollectiveNetwork, eng, stats, 2, 2,
+        GLineConfig(), name="colltm", slots=cc.time_slots, coll_config=cc)
     results = {}
     for cid in range(4):
         ctxs[0].arrive(cid, "sum", cid + 1,

@@ -6,7 +6,8 @@ from repro.common.errors import ConfigError
 from repro.common.params import (CacheConfig, CMPConfig, CoreConfig,
                                  GLineConfig, NocConfig, mesh_dims)
 from repro.common.stats import StatsRegistry
-from repro.gline import build_contexts, total_wires
+from repro.gline import (GLineBarrierNetwork, HierarchicalGLineBarrier,
+                         build_sync_contexts, total_wires)
 from repro.sim.engine import Engine
 
 
@@ -74,8 +75,10 @@ def test_noc_validation():
 # ---------------------------------------------------------------------- #
 def wires(rows, cols, g=GLineConfig()):
     """G-lines of the barrier contexts *g* builds on a rows x cols mesh."""
-    return total_wires(build_contexts(Engine(), StatsRegistry(rows * cols),
-                                      rows, cols, g))
+    return total_wires(build_sync_contexts(
+        GLineBarrierNetwork, HierarchicalGLineBarrier, Engine(),
+        StatsRegistry(rows * cols), rows, cols, g, name="glnet",
+        count=g.num_barriers))
 
 
 def test_gline_wire_budget_matches_paper():

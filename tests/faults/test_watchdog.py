@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import make_chip
+from helpers import barrier_slots, make_chip
 from repro import CMP, CMPConfig
 from repro.common.errors import DeadlockError
 from repro.common.params import GLineConfig
@@ -12,7 +12,6 @@ from repro.common.stats import StatsRegistry
 from repro.faults import FAILOVER, FaultPlan
 from repro.gline.hierarchical import HierarchicalGLineBarrier
 from repro.gline.network import GLineBarrierNetwork
-from repro.gline.timemux import build_time_multiplexed
 from repro.obs import Observability, RingTracer
 from repro.obs import events as obs_ev
 from repro.sim.engine import Engine
@@ -83,10 +82,8 @@ def test_fault_free_timemux_under_watchdog():
     # period stretches every stage, so give the watchdog headroom.
     engine = Engine()
     stats = StatsRegistry(4)
-    ctxs = build_time_multiplexed(engine, stats, 2, 2,
-                                  GLineConfig(watchdog_budget=64,
-                                              watchdog_retries=2),
-                                  num_slots=2)
+    ctxs = barrier_slots(engine, stats, 2, 2,
+                         GLineConfig(watchdog_budget=64, watchdog_retries=2))
     for ctx in ctxs:
         outcomes = arrive_all(engine, ctx)
         assert all(outcomes[c] == () for c in range(4))

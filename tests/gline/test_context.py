@@ -5,40 +5,55 @@ collective contexts (flat, hierarchical, time-multiplexed) are all
 network objects with one lifecycle: the chip threads its stats
 registry, observability bundle and fault injector through each of them
 the same way, and each reports its fault state and wires the same way.
+One builder decides the shape of both kinds.
 """
 
 import pytest
 
-from repro.collectives import (CollectiveConfig, build_collective_contexts,
+from repro.collectives import (CollectiveConfig, CollectiveNetwork,
+                               HierarchicalCollectiveNetwork,
                                total_wires as collective_total_wires)
+from repro.common.errors import CapacityError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
-from repro.gline import (Hierarchy, build_contexts, build_submesh_context,
-                         build_time_multiplexed, total_wires)
+from repro.gline import (GLineBarrierNetwork, Hierarchy,
+                         HierarchicalGLineBarrier, build_sync_contexts,
+                         submesh_core_ids, total_wires)
 from repro.obs import Observability
 from repro.sim.engine import Engine
 
+#: kind -> the flat and hierarchy classes the chip builds it with, the
+#: name it gives them and what else their constructors take.
+CLASSES = {
+    "barrier": (GLineBarrierNetwork, HierarchicalGLineBarrier, "glnet",
+                {}),
+    "collective": (CollectiveNetwork, HierarchicalCollectiveNetwork,
+                   "coll", {"coll_config": CollectiveConfig(enabled=True)}),
+}
 
-def collectives(engine, stats, rows, cols, **cc):
-    return build_collective_contexts(
-        engine, stats, rows, cols,
-        coll_config=CollectiveConfig(enabled=True, **cc))
+
+def contexts(kind, engine, stats, rows, cols, gl_config=None, **shape):
+    """The contexts of *kind* the builder makes, shaped by *shape*."""
+    flat, hierarchical, name, kwargs = CLASSES[kind]
+    return build_sync_contexts(flat, hierarchical, engine, stats, rows,
+                               cols, gl_config or GLineConfig(), name=name,
+                               **shape, **kwargs)
 
 
 #: kind -> builder of that kind's contexts: flat, sub-mesh and slotted
 #: ones on a 4x4 mesh (the sub-mesh inside an 8-column chip),
 #: hierarchical ones on 8x8.
 KINDS = {
-    "barrier-flat": lambda e, s: build_contexts(e, s, 4, 4),
-    "barrier-submesh": lambda e, s: [
-        build_submesh_context(e, s, 8, 0, 4, 4, 4)],
-    "barrier-hierarchical": lambda e, s: build_contexts(e, s, 8, 8),
-    "barrier-2slot": lambda e, s: build_time_multiplexed(
-        e, s, 4, 4, num_slots=2),
-    "collective-flat": lambda e, s: collectives(e, s, 4, 4),
-    "collective-hierarchical": lambda e, s: collectives(e, s, 8, 8),
-    "collective-2slot": lambda e, s: collectives(e, s, 4, 4,
-                                                 time_slots=2),
+    "barrier-flat": lambda e, s: contexts("barrier", e, s, 4, 4),
+    "barrier-submesh": lambda e, s: [GLineBarrierNetwork(
+        e, s, 4, 4, core_ids=submesh_core_ids(8, 0, 4, 4, 4))],
+    "barrier-hierarchical": lambda e, s: contexts("barrier", e, s, 8, 8),
+    "barrier-2slot": lambda e, s: contexts("barrier", e, s, 4, 4, slots=2),
+    "collective-flat": lambda e, s: contexts("collective", e, s, 4, 4),
+    "collective-hierarchical": lambda e, s: contexts("collective", e, s,
+                                                     8, 8),
+    "collective-2slot": lambda e, s: contexts("collective", e, s, 4, 4,
+                                              slots=2),
 }
 
 
@@ -81,15 +96,46 @@ def test_fault_state_reads_the_same(kind):
 
 def test_total_wires_counts_shared_slots_once():
     assert collective_total_wires is total_wires
-    one = build("barrier-flat")[0].num_glines
-    assert total_wires(build("barrier-2slot")) == one
-    assert total_wires(build_contexts(
-        Engine(), StatsRegistry(16), 4, 4,
-        GLineConfig(num_barriers=2))) == 2 * one
-    one = build("collective-flat")[0].num_glines
-    assert total_wires(build("collective-2slot")) == one
-    assert total_wires(collectives(Engine(), StatsRegistry(16), 4, 4,
-                                   num_contexts=2)) == 2 * one
+    for kind in CLASSES:
+        one = build(f"{kind}-flat")[0].num_glines
+        assert total_wires(build(f"{kind}-2slot")) == one
+        assert total_wires(contexts(kind, Engine(), StatsRegistry(16), 4, 4,
+                                    count=2)) == 2 * one
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+def test_builder_decides_every_shape(kind):
+    flat, hierarchical, name, _ = CLASSES[kind]
+
+    def shaped(rows, cols, **shape):
+        return contexts(kind, Engine(), StatsRegistry(rows * cols), rows,
+                        cols, **shape)
+
+    # Replicas: flat while the mesh fits the S-CSMA fan-in, each with
+    # its own wires, and numbered only when there is more than one.
+    (one,) = shaped(4, 4)
+    assert (type(one), one.name, one.slot) == (flat, name, None)
+    assert one.num_glines == 10
+    pair = shaped(4, 4, count=2)
+    assert [(type(c), c.name) for c in pair] == \
+        [(flat, f"{name}0"), (flat, f"{name}1")]
+    assert total_wires(pair) == 2 * one.num_glines
+    # Beyond it, a hierarchy of clusters under a top network.
+    (big,) = shaped(8, 8)
+    assert type(big) is hierarchical and big.name == name
+    assert [net.name for net in big.levels] == [
+        f"{name}.c0_0", f"{name}.c0_1", f"{name}.c1_0", f"{name}.c1_1",
+        f"{name}.top"]
+    # Time slots: flat contexts on one network's wires, each clocked at
+    # the slot period from its own offset.
+    slots = shaped(4, 4, slots=2)
+    assert [(type(c), c.name, c.slot, c.gl_config.line_latency)
+            for c in slots] == [(flat, f"{name}.s0", 0, 2),
+                                (flat, f"{name}.s1", 1, 2)]
+    assert total_wires(slots) == one.num_glines
+    # A hierarchy cannot share one network's wires.
+    with pytest.raises(CapacityError):
+        shaped(8, 8, slots=2)
 
 
 # ---------------------------------------------------------------------- #
@@ -140,8 +186,8 @@ def test_watchdog_retry_while_clocked_keeps_one_tick_chain():
     engine = Engine()
     cc = CollectiveConfig(enabled=True, value_width=8, integrity="echo",
                           watchdog_budget=20, watchdog_retries=2)
-    net = build_collective_contexts(engine, StatsRegistry(16), 4, 4,
-                                    coll_config=cc)[0]
+    net = CollectiveNetwork(engine, StatsRegistry(16), 4, 4,
+                            coll_config=cc)
     ticks = _tick_log(net)
     _arrive_all(engine, net, 16, True)
     engine.run()

@@ -7,25 +7,28 @@ from repro.common.errors import CapacityError, ConfigError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.cpu import isa
-from repro.gline import total_wires
-from repro.gline.hierarchical import HierarchicalGLineBarrier
-from repro.gline.multibarrier import build_contexts, build_submesh_context
-from repro.gline.network import GLineBarrierNetwork
+from repro.gline import (GLineBarrierNetwork, HierarchicalGLineBarrier,
+                         build_sync_contexts, submesh_core_ids, total_wires)
 from repro.sim.engine import Engine
 
 
+def barrier_contexts(rows, cols, config=GLineConfig()):
+    """The chip's barrier contexts: ``num_barriers`` replicas."""
+    engine, stats = Engine(), StatsRegistry(rows * cols)
+    return build_sync_contexts(
+        GLineBarrierNetwork, HierarchicalGLineBarrier, engine, stats, rows,
+        cols, config, name="glnet", count=config.num_barriers)
+
+
 def test_build_contexts_counts():
-    engine, stats = Engine(), StatsRegistry(16)
-    ctxs = build_contexts(engine, stats, 4, 4,
-                          GLineConfig(num_barriers=3))
+    ctxs = barrier_contexts(4, 4, GLineConfig(num_barriers=3))
     assert len(ctxs) == 3
     assert all(isinstance(c, GLineBarrierNetwork) for c in ctxs)
     assert total_wires(ctxs) == 30
 
 
 def test_build_contexts_falls_back_to_hierarchical():
-    engine, stats = Engine(), StatsRegistry(64)
-    ctxs = build_contexts(engine, stats, 8, 8, GLineConfig())
+    ctxs = barrier_contexts(8, 8)
     assert isinstance(ctxs[0], HierarchicalGLineBarrier)
 
 
@@ -64,8 +67,8 @@ def test_submesh_context():
     """A context spanning only half the chip synchronizes those cores."""
     engine, stats = Engine(), StatsRegistry(16)
     # Left 4x2 half of a 4x4 chip: global tile ids 0,1, 4,5, 8,9, 12,13.
-    net = build_submesh_context(engine, stats, mesh_cols=4, row0=0, col0=0,
-                                rows=4, cols=2)
+    net = GLineBarrierNetwork(engine, stats, 4, 2, core_ids=submesh_core_ids(
+        mesh_cols=4, row0=0, col0=0, rows=4, cols=2))
     expected_ids = [0, 1, 4, 5, 8, 9, 12, 13]
     assert net.core_ids == expected_ids
     released = []
@@ -77,9 +80,9 @@ def test_submesh_context():
 
 def test_submesh_validation():
     engine, stats = Engine(), StatsRegistry(64)
+    # The ids fit a 10-column mesh, but not one network's fan-in.
     with pytest.raises(CapacityError):
-        build_submesh_context(engine, stats, mesh_cols=10, row0=0, col0=0,
-                              rows=8, cols=8)
+        GLineBarrierNetwork(engine, stats, 8, 8, core_ids=submesh_core_ids(
+            mesh_cols=10, row0=0, col0=0, rows=8, cols=8))
     with pytest.raises(ConfigError):
-        build_submesh_context(engine, stats, mesh_cols=4, row0=0, col0=0,
-                              rows=0, cols=2)
+        submesh_core_ids(mesh_cols=4, row0=0, col0=0, rows=0, cols=2)

@@ -9,12 +9,12 @@ segment is probed and re-admitted without the rest of the chip ever
 leaving hardware.
 """
 
+from helpers import barrier_slots
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.faults import FAILOVER
 from repro.gline.hierarchical import HierarchicalGLineBarrier
 from repro.gline.recovery import DEGRADED, PROBATION, QUARANTINED
-from repro.gline.timemux import build_time_multiplexed
 from repro.sim.engine import Engine
 
 HARDENED = dict(watchdog_budget=48, watchdog_retries=1)
@@ -111,8 +111,7 @@ def test_still_faulty_cluster_retires_and_segment_keeps_covering():
 def _slots(**cfg):
     engine = Engine()
     stats = StatsRegistry(4)
-    ctxs = build_time_multiplexed(engine, stats, 2, 2,
-                                  GLineConfig(**cfg), num_slots=2)
+    ctxs = barrier_slots(engine, stats, 2, 2, GLineConfig(**cfg))
     return engine, stats, ctxs
 
 

@@ -1,10 +1,10 @@
-"""Property-based independence of multibarrier contexts.
+"""Property-based independence of replicated barrier contexts.
 
 Random disjoint sub-meshes of one chip, each carrying its own barrier
 context, with fully interleaved arrival schedules: every context must
 release exactly its own cores, releases never couple across contexts
 (a context's release time depends only on its own last arrival), and
-full-chip multibarrier contexts stay episode-independent under
+full-chip replicated contexts stay episode-independent under
 interleaving.
 """
 
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
-from repro.gline.multibarrier import build_contexts, build_submesh_context
+from repro.gline import (GLineBarrierNetwork, HierarchicalGLineBarrier,
+                         build_sync_contexts, submesh_core_ids)
 from repro.sim.engine import Engine
 
 
@@ -47,8 +48,9 @@ def test_disjoint_submesh_contexts_are_independent(layout, data):
     engine = Engine()
     stats = StatsRegistry(mesh_rows * mesh_cols)
     config = GLineConfig()
-    nets = [build_submesh_context(engine, stats, mesh_cols, *box,
-                                  config=config, name=f"sub{i}")
+    nets = [GLineBarrierNetwork(engine, stats, box[2], box[3], config,
+                                name=f"sub{i}",
+                                core_ids=submesh_core_ids(mesh_cols, *box))
             for i, box in enumerate((box_a, box_b))]
     members = [submesh_ids(mesh_cols, *box) for box in (box_a, box_b)]
     assert not set(members[0]) & set(members[1])
@@ -80,14 +82,17 @@ def test_disjoint_submesh_contexts_are_independent(layout, data):
        data=st.data())
 def test_full_chip_contexts_stay_independent_under_interleaving(shape,
                                                                 data):
-    """Two full-chip multibarrier contexts, arrivals interleaved at
+    """Two full-chip replicated contexts, arrivals interleaved at
     random: each context releases on its own schedule."""
     rows, cols = shape
     n = rows * cols
     engine = Engine()
     stats = StatsRegistry(n)
     config = GLineConfig(num_barriers=2)
-    nets = build_contexts(engine, stats, rows, cols, config)
+    nets = build_sync_contexts(GLineBarrierNetwork,
+                               HierarchicalGLineBarrier, engine, stats,
+                               rows, cols, config, name="glnet",
+                               count=config.num_barriers)
     assert len(nets) == 2
 
     releases: list[dict[int, int]] = [{}, {}]

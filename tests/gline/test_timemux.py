@@ -2,29 +2,23 @@
 
 from collections import Counter
 
-import pytest
-
-from repro.common.errors import ConfigError
-from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
 from repro.cpu import isa
 from repro.gline import total_wires
 from repro.gline.barrier import GLBarrier
-from repro.gline.timemux import build_time_multiplexed
 from repro.obs import Observability
 from repro.obs.events import GL_ARRIVE
 from repro.sim.engine import Engine
 
-from helpers import make_chip, run_uniform
+from helpers import barrier_slots, run_uniform
 from repro import CMP, CMPConfig
 
 
 def build(rows=2, cols=2, num_slots=2):
     engine = Engine()
     stats = StatsRegistry(rows * cols)
-    ctxs = build_time_multiplexed(engine, stats, rows, cols,
-                                  GLineConfig(), num_slots=num_slots)
-    return engine, ctxs
+    return engine, barrier_slots(engine, stats, rows, cols,
+                                 slots=num_slots)
 
 
 def arrive_all(engine, ctx, n, times=None):
@@ -77,18 +71,18 @@ def test_physical_wire_budget_is_single_network():
 
 
 def test_invalid_slot_count():
-    engine = Engine()
-    with pytest.raises(ConfigError):
-        build_time_multiplexed(engine, StatsRegistry(4), 2, 2,
-                               num_slots=0)
+    # No slot count is invalid: below 2 there is nothing to share, and
+    # the builder makes one plain context, as a collective config with
+    # time_slots=0 asks for.
+    _, ctxs = build(2, 2, num_slots=0)
+    assert [(ctx.name, ctx.slot) for ctx in ctxs] == [("gltm", None)]
 
 
 def timemux_chip():
     """A 4-core chip whose GL barrier runs on two slot contexts."""
     cfg = CMPConfig.for_cores(4)
     chip = CMP(cfg, barrier="gl")
-    ctxs = build_time_multiplexed(chip.engine, chip.stats, 2, 2,
-                                  cfg.gline, num_slots=2)
+    ctxs = barrier_slots(chip.engine, chip.stats, 2, 2, cfg.gline)
     chip.barrier_impl = GLBarrier(ctxs, cfg.gline)
     for tile in chip.tiles:
         tile.core.barrier_binding = chip.barrier_impl

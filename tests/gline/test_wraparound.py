@@ -13,18 +13,18 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.params import GLineConfig
 from repro.common.stats import StatsRegistry
-from repro.gline.multibarrier import build_submesh_context
-from repro.gline.timemux import build_time_multiplexed
+from repro.gline import GLineBarrierNetwork, submesh_core_ids
 from repro.sim.engine import Engine
 from repro.verify import GLBarrierModel
+
+from helpers import barrier_slots
 
 
 def build(rows=2, cols=2, num_slots=2, **cfg):
     engine = Engine()
     stats = StatsRegistry(rows * cols)
-    ctxs = build_time_multiplexed(engine, stats, rows, cols,
-                                  GLineConfig(**cfg), num_slots=num_slots)
-    return engine, ctxs
+    return engine, barrier_slots(engine, stats, rows, cols,
+                                 GLineConfig(**cfg), num_slots)
 
 
 def run_arrivals(engine, ctx, times):
@@ -122,18 +122,15 @@ def test_slot_latency_matches_model_bound(shape, num_slots):
 # ---------------------------------------------------------------------- #
 def test_submesh_at_right_edge_is_exact():
     engine, stats = Engine(), StatsRegistry(16)
-    net = build_submesh_context(engine, stats, mesh_cols=4, row0=1,
-                                col0=2, rows=2, cols=2)
+    net = GLineBarrierNetwork(engine, stats, 2, 2, core_ids=submesh_core_ids(
+        mesh_cols=4, row0=1, col0=2, rows=2, cols=2))
     assert net.core_ids == [6, 7, 10, 11]
 
 
 def test_submesh_column_overflow_rejected():
     """col0 + cols past the mesh edge must raise, not wrap the core ids
     onto the next mesh row."""
-    engine, stats = Engine(), StatsRegistry(16)
     with pytest.raises(ConfigError):
-        build_submesh_context(engine, stats, mesh_cols=4, row0=0, col0=3,
-                              rows=2, cols=2)
+        submesh_core_ids(mesh_cols=4, row0=0, col0=3, rows=2, cols=2)
     with pytest.raises(ConfigError):
-        build_submesh_context(engine, stats, mesh_cols=4, row0=0,
-                              col0=-1, rows=2, cols=2)
+        submesh_core_ids(mesh_cols=4, row0=0, col0=-1, rows=2, cols=2)

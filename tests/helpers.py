@@ -8,6 +8,8 @@ from typing import Any, Callable, Generator
 
 from repro import CMP, CMPConfig
 from repro.common.params import GLineConfig
+from repro.gline import (GLineBarrierNetwork, HierarchicalGLineBarrier,
+                         build_sync_contexts)
 
 
 def make_chip(num_cores: int = 4, barrier: str = "gl",
@@ -17,6 +19,15 @@ def make_chip(num_cores: int = 4, barrier: str = "gl",
     if entry_overhead is not None:
         cfg = cfg.with_(gline=GLineConfig(entry_overhead=entry_overhead))
     return CMP(cfg, barrier=barrier)
+
+
+def barrier_slots(engine, stats, rows: int, cols: int,
+                  config: GLineConfig | None = None, slots: int = 2) -> list:
+    """*slots* barrier contexts time-multiplexed on the wires of one
+    rows x cols network, as the chip's builder makes them."""
+    return build_sync_contexts(
+        GLineBarrierNetwork, HierarchicalGLineBarrier, engine, stats, rows,
+        cols, config or GLineConfig(), name="gltm", slots=slots)
 
 
 def canonical_digest(obj: Any) -> str:

@@ -42,15 +42,14 @@ def test_vector_sweep_fragment():
 
 
 def test_timemux_single_slot_equals_flat():
-    """One slot is the degenerate case: same 4-cycle latency as flat."""
-    from repro.common.params import GLineConfig
+    """One slot is the degenerate case: a flat network, 4 cycles."""
+    from helpers import barrier_slots
     from repro.common.stats import StatsRegistry
-    from repro.gline.timemux import build_time_multiplexed
     from repro.sim.engine import Engine
 
     engine = Engine()
-    ctxs = build_time_multiplexed(engine, StatsRegistry(4), 2, 2,
-                                  GLineConfig(), num_slots=1)
+    ctxs = barrier_slots(engine, StatsRegistry(4), 2, 2, slots=1)
+    assert [ctx.slot for ctx in ctxs] == [None]
     for cid in range(4):
         ctxs[0].arrive(cid, lambda: None)
     engine.run()

@@ -16,7 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import MemHarness, canonical_digest, make_chip, run_uniform
+from helpers import (MemHarness, barrier_slots, canonical_digest,
+                     make_chip, run_uniform)
 from repro.chip.cmp import CMP
 from repro.collectives.config import CollectiveConfig
 from repro.common.params import CMPConfig
@@ -24,7 +25,6 @@ from repro.cpu import isa
 from repro.experiments.runner import paper_config
 from repro.faults import FaultPlan
 from repro.gline.barrier import GLBarrier
-from repro.gline.timemux import build_time_multiplexed
 from repro.workloads import Kernel3Workload
 from repro.workloads.collective import CollectiveAllReduceWorkload
 from repro.workloads.stress import StressWorkload
@@ -152,8 +152,7 @@ def _gl16_timemux():
     # contexts share one 4x4 network's wires by time slot, and staggered
     # compute makes arrivals land on and off each context's slot.
     chip = _logged_chip(16)
-    ctxs = build_time_multiplexed(chip.engine, chip.stats, 4, 4,
-                                  chip.config.gline, num_slots=2)
+    ctxs = barrier_slots(chip.engine, chip.stats, 4, 4, chip.config.gline)
     chip.barrier_impl = GLBarrier(ctxs, chip.config.gline)
     for tile in chip.tiles:
         tile.core.barrier_binding = chip.barrier_impl
