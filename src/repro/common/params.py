@@ -273,16 +273,13 @@ class CoreConfig(_SerializableConfig):
 
     #: Clock frequency, used only for reporting (all timing is in cycles).
     freq_ghz: float = 3.0
-    #: Issue width (the paper models 2-way in-order; our operation streams
-    #: are sequential, so width only scales modelled compute throughput).
+    #: Issue width of the paper's 2-way in-order core.  Only Table 1's
+    #: renderer reads it: operation streams issue one at a time.
     issue_width: int = 2
-    #: Cycles for a register-file write such as ``mov 1, bar_reg``.
-    reg_write_cycles: int = 1
 
     def __post_init__(self) -> None:
         _require(self.freq_ghz > 0, "freq_ghz must be positive")
         _require(self.issue_width >= 1, "issue_width must be >= 1")
-        _require(self.reg_write_cycles >= 0, "reg_write_cycles >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ flight recorder.  The pieces:
 * :mod:`repro.obs.events` -- the typed :class:`TraceEvent` schema and the
   kind vocabulary every instrumented layer emits.
 * :mod:`repro.obs.tracer` -- :class:`RingTracer`, a bounded drop-counting
-  ring buffer with per-kind/per-source filtering (plus the historical
-  :class:`ListTracer` alias and the no-op :data:`NULL_TRACER`).
+  ring buffer with per-kind/per-source filtering (plus the no-op
+  :data:`NULL_TRACER`).
 * :mod:`repro.obs.metrics` -- :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms with JSON/CSV snapshots, layered on
   top of the paper-figure ``StatsRegistry``.
@@ -33,13 +33,12 @@ from .metrics import (DEFAULT_EDGES, Counter, Gauge, Histogram,
                       MetricsRegistry)
 from .observability import NULL_OBS, Observability
 from .perfetto import to_perfetto, validate_perfetto, write_perfetto
-from .tracer import (DEFAULT_CAPACITY, NULL_TRACER, ListTracer, RingTracer,
-                     Tracer)
+from .tracer import DEFAULT_CAPACITY, NULL_TRACER, RingTracer, Tracer
 from .vcd import parse_vcd, rise_times, to_vcd, write_vcd
 
 __all__ = [
     "TraceEvent", "ALL_KINDS", "FLIGHT_KINDS",
-    "Tracer", "RingTracer", "ListTracer", "NULL_TRACER", "DEFAULT_CAPACITY",
+    "Tracer", "RingTracer", "NULL_TRACER", "DEFAULT_CAPACITY",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_EDGES",
     "FlightRecorder", "DEFAULT_DEPTH",
     "Observability", "NULL_OBS",

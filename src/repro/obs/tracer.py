@@ -10,11 +10,6 @@ pin down.
 *newest* events, counts what it had to drop, and can filter by event kind
 and/or source at emit time (filtering early keeps a long run's buffer
 full of the events you actually asked for).
-
-:class:`ListTracer` is the historical name kept for compatibility: it used
-to be an unbounded ``list.append`` tracer that grew without limit on long
-runs; it is now a thin alias over :class:`RingTracer` with the default
-capacity (pass ``capacity=None`` to opt back into unbounded growth).
 """
 
 from __future__ import annotations
@@ -109,19 +104,6 @@ class RingTracer(Tracer):
         """Emit/drop/filter counters (exported alongside trace artifacts)."""
         return {"retained": len(self._ring), "emitted": self.emitted,
                 "dropped": self.dropped, "filtered": self.filtered}
-
-
-class ListTracer(RingTracer):
-    """Compatibility alias: the old unbounded list tracer, now bounded.
-
-    Keeps the historical ``ListTracer(kinds=...)`` signature; the buffer
-    is capped at :data:`DEFAULT_CAPACITY` by default (the old class grew
-    without bound).  Pass ``capacity=None`` to opt out of the bound.
-    """
-
-    def __init__(self, kinds: set[str] | None = None,
-                 capacity: int | None = DEFAULT_CAPACITY):
-        super().__init__(capacity=capacity, kinds=kinds)
 
 
 #: Shared do-nothing tracer instance.

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from .component import Component
 from .engine import Engine
-from .trace import (DEFAULT_CAPACITY, NULL_TRACER, ListTracer, RingTracer,
-                    TraceEvent, Tracer)
 
 #: Engine classes by name (``CMPConfig.sim_backend``).  There is one
 #: engine; the registry is the seam that lets a profiler or a test swap
@@ -29,6 +27,4 @@ def make_engine(backend: str = "heap") -> Engine:
     return cls()
 
 
-__all__ = ["Component", "Engine", "BACKENDS", "make_engine", "NULL_TRACER",
-           "ListTracer", "RingTracer", "TraceEvent", "Tracer",
-           "DEFAULT_CAPACITY"]
+__all__ = ["Component", "Engine", "BACKENDS", "make_engine"]

@@ -70,6 +70,7 @@ from ..common.params import GLineConfig
 from ..common.stats import StatsRegistry
 from ..sim.engine import Engine
 from .explore import NOT_PROVED, PROVED, VIOLATED
+from .model import PropertyViolation
 
 #: Property labels (the collective analogue of repro.verify.model's).
 P_COLL_VALUE = "collective-value"
@@ -148,13 +149,6 @@ class CollectiveExploreResult:
                 "verdicts": dict(self.verdicts), "capped": self.capped,
                 "counterexample": self.counterexample.to_dict()
                 if self.counterexample else None}
-
-
-class _Violation(Exception):
-    def __init__(self, prop: str, message: str):
-        super().__init__(message)
-        self.prop = prop
-        self.message = message
 
 
 def default_values(rows: int, cols: int, width: int) -> List[int]:
@@ -284,7 +278,7 @@ class CollectiveModel:
 
     # ------------------------------------------------------------------ #
     def step(self, state: tuple, action: int) -> tuple:
-        """Apply *action*; raises :class:`_Violation` on a property
+        """Apply *action*; raises :class:`PropertyViolation` on a property
         violation, else returns the canonical successor."""
         fab, cores, inj_left = state
         self._hold(fab)
@@ -312,12 +306,12 @@ class CollectiveModel:
         pending = [i for i in range(self.n) if not cores[i][1]]
         for local, value in deliveries:
             if not cores[local][1]:
-                raise _Violation(
+                raise PropertyViolation(
                     P_COLL_ONCE,
                     f"local {local} delivered a result without having "
                     f"arrived")
             if pending:
-                raise _Violation(
+                raise PropertyViolation(
                     P_COLL_ONCE,
                     f"local {local} delivered while locals {pending} "
                     f"have not arrived (premature release)")
@@ -325,7 +319,7 @@ class CollectiveModel:
                 # An exhausted episode is *detected*: the network layer
                 # escalates (retry / failover) instead of delivering it,
                 # so only an un-flagged wrong value is silent corruption.
-                raise _Violation(
+                raise PropertyViolation(
                     P_COLL_VALUE,
                     f"local {local} delivered {value}, reference "
                     f"{self.kind} over {self.values} is "
@@ -492,7 +486,7 @@ def explore_collective(model: CollectiveModel, *,
             keys.append(key)
             try:
                 nxt = model.step(state, TICK)
-            except _Violation as v:
+            except PropertyViolation as v:
                 return fail(v.prop, v.message, path(taken + 1))
             taken += 1
             result.transitions += 1
@@ -512,7 +506,7 @@ def explore_collective(model: CollectiveModel, *,
         for action in model.actions(state):
             try:
                 child = model.step(state, action)
-            except _Violation as v:
+            except PropertyViolation as v:
                 return fail(v.prop, v.message, path_to(skey) + [action])
             result.transitions += 1
             ckey = model.key(child)

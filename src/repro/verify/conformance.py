@@ -3,9 +3,9 @@
 Two directions close the refinement loop:
 
 * **Concretize + replay** -- a model counterexample is a path of action
-  indices over *canonical* (symmetry-reduced) states.  :func:`concretize`
-  rewrites it as per-cycle schedules of concrete mesh core ids, and
-  :func:`replay_on_simulator` drives a real
+  indices; its states keep their core labels, so :func:`concretize`
+  reads per-cycle schedules of concrete mesh core ids off the path's
+  actions, and :func:`replay_on_simulator` drives a real
   :class:`~repro.gline.network.GLineBarrierNetwork` (same scenario fault,
   same mutation, ``barreg_write_cycles=0`` so model step *i* is engine
   cycle *i*) with those schedules, confirming that the abstract violation
@@ -16,9 +16,9 @@ Two directions close the refinement loop:
 
 * **Lift** -- :func:`lift_trace` runs the opposite check: given an
   observability event stream from a *real* simulation, it re-executes the
-  concrete (non-symmetric) model from the recorded ``gline.arrive``
-  times and demands the model release the same number of cores on the
-  same cycles as the recorded ``gline.release`` events.  Any divergence
+  model from the recorded ``gline.arrive`` times and demands the model
+  release the same number of cores on the same cycles as the recorded
+  ``gline.release`` events.  Any divergence
   is a refinement bug in either the model or the network and is reported
   cycle-by-cycle.  :func:`lift_perfetto` reconstructs the event stream
   from an exported Perfetto document first.
@@ -35,13 +35,13 @@ from ..common.params import GLineConfig
 from ..common.stats import StatsRegistry
 from ..faults import FAILOVER
 from ..gline.network import GLineBarrierNetwork
+from ..gline.recovery import PROBATION
 from ..obs import Observability, RingTracer, to_perfetto, write_vcd
 from ..obs import events as obs_ev
 from ..obs.events import TraceEvent
 from ..sim.engine import Engine
-from ..gline.recovery import PROBATION
-from .model import (GLBarrierModel, GLITCH, MA, MCD, MR, ROW_FIXED,
-                    SL_A, SL_CD, SL_R, SLAVE, Action, PropertyViolation)
+from .explore import replay_actions
+from .model import GLBarrierModel, PropertyViolation
 from .scenarios import (FAULT_FREE, FaultScenario, Mutation,
                         ScenarioInjector, get_mutation)
 
@@ -59,9 +59,8 @@ class ConcretePath:
     """A counterexample rewritten as per-step concrete arrival schedules.
 
     ``schedules[i]`` lists the mesh core ids (``row * cols + col``, col 0
-    being the row master) whose arrivals land at model step *i*; the
-    concrete twin model raises the same violation the canonical path did
-    (captured in :attr:`prop`/:attr:`message` when the path ends in one).
+    being the row master) whose arrivals land at model step *i*; a path
+    that ends in a violation carries it in :attr:`prop`/:attr:`message`.
     """
 
     schedules: List[List[int]]
@@ -80,114 +79,20 @@ class ConcretePath:
                 "glitches": list(self.glitches)}
 
 
-def _row_order(model: GLBarrierModel, conc: bytes) -> List[int]:
-    """Concrete row index for each canonical row position.
-
-    Mirrors ``GLBarrierModel._canon``: rows ``1..R-1`` are ordered by
-    their slave-sorted register blocks (row 0 is never sorted).  Ties are
-    byte-identical rows, so any assignment among them is sound."""
-    if not model.sort_rows:
-        return list(range(model.rows))
-    keyed: List[Tuple[bytes, int]] = []
-    for r in range(1, model.rows):
-        base = r * model.row_size
-        row = bytearray(conc[base: base + model.row_size])
-        blocks = sorted(bytes(row[ROW_FIXED + i * SLAVE:
-                                  ROW_FIXED + (i + 1) * SLAVE])
-                        for i in range(model.num_slaves_h))
-        for i, blk in enumerate(blocks):
-            row[ROW_FIXED + i * SLAVE: ROW_FIXED + (i + 1) * SLAVE] = blk
-        keyed.append((bytes(row), r))
-    keyed.sort(key=lambda kv: kv[0])
-    return [0] + [r for _, r in keyed]
-
-
-def _match_action(model: GLBarrierModel, conc: bytes,
-                  action: Action) -> List[int]:
-    """Concrete core ids realizing a canonical *action* against the
-    concrete state *conc* (one eligible slave per requested class slot)."""
-    order = _row_order(model, conc)
-    cores: List[int] = []
-    for k, (m_arr, slave_choices) in enumerate(action):
-        r = order[k]
-        base = r * model.row_size
-        if m_arr:
-            if conc[base + MA] != conc[base + MR] or conc[base + MCD]:
-                raise ValueError(f"row {r} master not eligible for the "
-                                 f"canonical action")
-            cores.append(r * model.cols)
-        taken: set = set()
-        sb = base + ROW_FIXED
-        for blk, count in slave_choices:
-            for _ in range(count):
-                for i in range(model.num_slaves_h):
-                    off = sb + i * SLAVE
-                    if i not in taken \
-                            and conc[off: off + SLAVE] == blk \
-                            and conc[off + SL_A] == conc[off + SL_R] \
-                            and not conc[off + SL_CD]:
-                        taken.add(i)
-                        cores.append(r * model.cols + i + 1)
-                        break
-                else:
-                    raise ValueError(
-                        f"no eligible slave of class {blk.hex()} left in "
-                        f"row {r} for the canonical action")
-    return cores
-
-
 def concretize(model: GLBarrierModel,
                action_indices: Sequence[int]) -> ConcretePath:
-    """Rewrite a canonical action path as concrete per-step schedules.
+    """Rewrite an action path as concrete per-step schedules.
 
-    Walks the symmetric model and a ``symmetric=False`` twin in
-    lockstep: each canonical action is matched against the concrete
-    state (row blocks aligned by the same sort ``_canon`` uses, slaves
-    picked by register-block value), then both advance.  A
-    :class:`~repro.verify.model.PropertyViolation` raised by the twin's
-    final step is captured -- that is the concrete confirmation that the
-    canonical counterexample is not a symmetry artifact."""
-    twin = GLBarrierModel(
-        model.rows, model.cols, scenario=model.scenario,
-        mutation=(model.mutation.name if model.mutation is not None
-                  else None),
-        episodes=model.episodes, symmetric=False)
-    abstract = model.initial()
-    conc = twin.initial()
-    schedules: List[List[int]] = []
-    glitches: List[int] = []
-    prop: Optional[str] = None
-    message: Optional[str] = None
-    for n, idx in enumerate(action_indices):
-        acts = model.actions(abstract)
-        if not 0 <= idx < len(acts):
-            raise ValueError(f"action index {idx} out of range at step "
-                             f"{n}")
-        action = acts[idx]
-        glitched = bool(action) and action[-1] == GLITCH
-        if glitched:
-            glitches.append(n)
-            action = action[:-1]
-        cores = _match_action(twin, conc, action)
-        schedules.append(cores)
-        try:
-            conc = twin.step_cores(conc, cores, glitch=glitched)
-        except PropertyViolation as exc:
-            if n != len(action_indices) - 1:
-                raise
-            prop, message = exc.prop, exc.message
-            break
-        try:
-            abstract = model.step(abstract, acts[idx])
-        except PropertyViolation as exc:
-            if n != len(action_indices) - 1:
-                raise
-            # The canonical walk violated but the concrete one did not:
-            # report the canonical verdict (the replay will arbitrate).
-            prop, message = exc.prop, exc.message
-            break
-    return ConcretePath(schedules=schedules, prop=prop, message=message,
-                        glitches=glitches)
+    Model states keep their core labels and each action names the cores
+    that arrive, so the schedules are read off :func:`replay_actions`;
+    a :class:`~repro.verify.model.PropertyViolation` raised by the final
+    step is captured."""
+    _, actions, violation = replay_actions(model, action_indices)
+    return ConcretePath(
+        schedules=[list(cores) for cores, _ in actions],
+        prop=violation.prop if violation is not None else None,
+        message=violation.message if violation is not None else None,
+        glitches=[n for n, (_, glitch) in enumerate(actions) if glitch])
 
 
 # ---------------------------------------------------------------------- #
@@ -388,7 +293,7 @@ def lift_trace(events: Iterable[TraceEvent], rows: int, cols: int, *,
 
     Replays the trace's ``gline.arrive`` events (whose timestamps are
     bar_reg *visibility* cycles, so they transfer across
-    ``barreg_write_cycles`` settings) through the concrete model and
+    ``barreg_write_cycles`` settings) through the model and
     compares, cycle by cycle, how many cores the model releases against
     the trace's ``gline.release`` records.  *source* restricts the lift
     to one network's events when the trace covers several."""
@@ -422,7 +327,7 @@ def lift_trace(events: Iterable[TraceEvent], rows: int, cols: int, *,
         rows, cols, scenario=scenario,
         mutation=(mutation.name if isinstance(mutation, Mutation)
                   else mutation),
-        episodes=min(max(episodes, 1), 16), symmetric=False)
+        episodes=min(max(episodes, 1), 16))
     state = model.initial()
     t0 = min(arrivals)
     t_end = max(max(arrivals), max(trace_rel, default=t0))
@@ -431,9 +336,9 @@ def lift_trace(events: Iterable[TraceEvent], rows: int, cols: int, *,
     model_rel: Dict[int, int] = {}
     t = t0
     while t <= horizon:
-        before = model._releases(state)
+        before = model.releases(state)
         try:
-            state = model.step_cores(state, arrivals.get(t, []))
+            state = model.step(state, (tuple(arrivals.get(t, ())), False))
         except PropertyViolation as exc:
             mismatches.append(f"model violation at cycle {t}: "
                               f"{exc.prop}: {exc.message}")
@@ -442,7 +347,7 @@ def lift_trace(events: Iterable[TraceEvent], rows: int, cols: int, *,
             mismatches.append(f"trace arrival not admissible at cycle "
                               f"{t}: {exc}")
             break
-        released = sum(1 for rb, ra in zip(before, model._releases(state))
+        released = sum(1 for rb, ra in zip(before, model.releases(state))
                        if ra > rb)
         if released:
             model_rel[t] = released

@@ -1,6 +1,7 @@
 """Explicit-state exploration of the barrier transition system.
 
-:func:`explore` runs a breadth-first search over canonical states,
+:func:`explore` runs a breadth-first search over states indexed by their
+canonical key (:meth:`~repro.verify.model.GLBarrierModel.key`),
 checking the transition-level properties (safety, exactly-once, the
 4-cycle completion bound) as edges are generated and then proving
 deadlock/livelock freedom with a progress pass over the closed state
@@ -11,14 +12,14 @@ and shard results merge reproducibly.
 A counterexample is stored as the list of *action indices* along the
 path from the initial state (index ``i`` selects
 ``model.actions(state)[i]``); :func:`replay_actions` turns it back into
-concrete states, and :mod:`repro.verify.conformance` into a real
-simulator schedule.
+states and actions, whose cores :mod:`repro.verify.conformance` reads
+off as a real simulator schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (GLBarrierModel, P_DEADLOCK, P_EXACTLY_ONCE, P_FLAP,
                     P_FOUR_CYCLE, P_RECOVERY, P_SAFETY, PropertyViolation)
@@ -73,18 +74,19 @@ class ExploreResult:
         return self.violation is None and not self.capped
 
 
-def replay_actions(model: GLBarrierModel, action_indices: List[int],
+def replay_actions(model: GLBarrierModel, action_indices: Sequence[int],
                    root: Optional[bytes] = None
-                   ) -> Tuple[List[bytes], List[object],
+                   ) -> Tuple[List[bytes], List[Tuple[Tuple[int, ...], bool]],
                               Optional[PropertyViolation]]:
     """Re-walk a path of action indices from *root*.
 
     Returns ``(states, actions, violation)``: ``states[i]`` is the state
-    *before* ``actions[i]``; a violation raised by the final step is
-    captured and returned rather than raised."""
+    *before* ``actions[i]``, an action is ``(cores, glitch)``; a
+    violation raised by the final step is captured and returned rather
+    than raised."""
     state = model.initial() if root is None else root
     states: List[bytes] = []
-    actions: List[object] = []
+    actions: List[Tuple[Tuple[int, ...], bool]] = []
     for n, idx in enumerate(action_indices):
         acts = model.actions(state)
         if not 0 <= idx < len(acts):
@@ -114,15 +116,18 @@ def _path_to(parents: List[Tuple[int, int]], sid: int) -> List[int]:
 
 def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
             root: Optional[bytes] = None) -> ExploreResult:
-    """Exhaustively enumerate the reachable canonical state space.
+    """Exhaustively enumerate the reachable state space, one state per
+    canonical key.
 
     Stops at the first property violation (returning its counterexample)
-    or when *max_states* distinct states have been generated (returning
+    or when *max_states* distinct keys have been generated (returning
     ``capped=True`` -- all universal properties then downgrade to
     ``not-proved``)."""
     init = model.initial() if root is None else root
+    #: The first state reached with each key, and that key.
     states: List[bytes] = [init]
-    index: Dict[bytes, int] = {init: 0}
+    keys: List[bytes] = [model.key(init)]
+    index: Dict[bytes, int] = {keys[0]: 0}
     parents: List[Tuple[int, int]] = [(-1, -1)]
     transitions = 0
     capped = False
@@ -132,9 +137,8 @@ def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
     while head < len(states) and violation is None:
         sid = head
         head += 1
-        state = states[sid]
-        acts = model.actions(state)
-        for ai, act in enumerate(acts):
+        state, key = states[sid], keys[sid]
+        for ai, act in enumerate(model.actions(state)):
             try:
                 nxt = model.step(state, act)
             except PropertyViolation as exc:
@@ -142,19 +146,21 @@ def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
                     prop=exc.prop, message=exc.message,
                     action_indices=_path_to(parents, sid) + [ai])
                 break
-            if nxt == state:
+            nkey = model.key(nxt)
+            if nkey == key:
                 continue  # pure stutter; dormancy adds no new behavior
             transitions += 1
-            if nxt not in index:
+            if nkey not in index:
                 if len(states) >= max_states:
                     capped = True
                     continue
-                index[nxt] = len(states)
+                index[nkey] = len(states)
                 states.append(nxt)
+                keys.append(nkey)
                 parents.append((sid, ai))
 
     if violation is None and not capped:
-        violation = _progress_pass(model, states, index, parents)
+        violation = _progress_pass(model, states, keys, index, parents)
 
     return ExploreResult(
         states=len(states), transitions=transitions, capped=capped,
@@ -164,7 +170,7 @@ def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
 
 
 def _progress_pass(model: GLBarrierModel, states: List[bytes],
-                   index: Dict[bytes, int],
+                   keys: List[bytes], index: Dict[bytes, int],
                    parents: List[Tuple[int, int]]
                    ) -> Optional[Counterexample]:
     """Deadlock/livelock freedom: from *every* reachable state, the
@@ -201,15 +207,16 @@ def _progress_pass(model: GLBarrierModel, states: List[bytes],
                         for c in chain[:pos[cur]]] + loop_actions)
             pos[cur] = len(chain)
             chain.append(cur)
-            nxt = model.step(states[cur], model.max_action(states[cur]))
-            if nxt == states[cur]:
+            nkey = model.key(model.step(states[cur],
+                                        model.max_action(states[cur])))
+            if nkey == keys[cur]:
                 prefix = _path_to(parents, start)
                 return Counterexample(
                     prop=P_DEADLOCK,
                     message="state can make no further progress yet "
                             "episodes remain incomplete",
                     action_indices=prefix)
-            cur = index[nxt]
+            cur = index[nkey]
         for c in chain:
             good[c] = 1
     return None

@@ -58,20 +58,24 @@ explorer fires it at every possible step, forcing the damaged TX wire
 high for one cycle so the S-CSMA count lands exactly on the gather
 target with a core missing.
 
-Symmetry reduction: horizontal slaves within a row are interchangeable
-(their blocks are kept sorted), as are entire rows 1..R-1 (row 0 hosts
-the column master and is special) unless the scenario damages a
-specific row >= 1.  Canonical states shrink the reachable space by
-roughly the product of the per-row factorials while preserving all
-checked properties, which are permutation-invariant.
+Symmetry reduction: horizontal slaves within a row are interchangeable,
+as are entire rows 1..R-1 (row 0 hosts the column master and is
+special) unless the scenario damages a specific row >= 1.  States keep
+their core labels -- byte offsets map to mesh core ids -- and
+:meth:`GLBarrierModel.key` is their canonical form (slave blocks sorted
+within each row, then rows 1..R-1 sorted).  The explorer indexes states
+by key, which shrinks the reachable space by roughly the product of the
+per-row factorials while preserving all checked properties, which are
+permutation-invariant; and :meth:`~GLBarrierModel.actions` offers one
+action per symmetry class, so a path's own actions name the concrete
+cores that arrive.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scenarios import FAULT_FREE, FaultScenario, Mutation, get_mutation
 
@@ -93,9 +97,6 @@ TAIL = 13
 #: ``T_RST`` recovery-state encoding.
 R_HEALTHY, R_DEGRADED, R_PROBATION, R_RETIRED = range(4)
 
-#: The one-shot glitch marker appended to an action tuple.
-GLITCH = "glitch"
-
 #: Properties the model can report violated.
 P_SAFETY = "safety"
 P_EXACTLY_ONCE = "exactly-once"
@@ -113,14 +114,17 @@ P_FLAP = "flap-bound"
 #: completion bound while the watchdog counts down) keep the byte finite.
 _SA_CAP = 250
 
-#: One row's worth of an action: (master_arrives, ((slave_block, n), ...)).
-RowAction = Tuple[int, Tuple[Tuple[bytes, int], ...]]
-Action = Tuple[RowAction, ...]
+#: An environment action: the mesh core ids (``row * cols + col``,
+#: ascending) whose arrivals land this step, and whether the armed
+#: one-shot glitch fires.
+Action = Tuple[Tuple[int, ...], bool]
 
 
 class PropertyViolation(Exception):
-    """Raised by :meth:`GLBarrierModel.step` when a transition breaks a
-    checked property; the explorer turns it into a counterexample."""
+    """Raised by a checker's ``step`` (:meth:`GLBarrierModel.step`,
+    :meth:`~repro.verify.collectives.CollectiveModel.step`) when a
+    transition breaks a checked property; the explorer turns it into a
+    counterexample."""
 
     def __init__(self, prop: str, message: str):
         super().__init__(f"{prop}: {message}")
@@ -137,8 +141,9 @@ class GLBarrierModel:
     :param mutation: name of a deliberate FSM bug from
         :data:`~repro.verify.scenarios.MUTATIONS`, or ``None``.
     :param episodes: barrier episodes each core must complete.
-    :param symmetric: canonicalize states (slave/row sorting).  Disable
-        to track concrete core identities (counterexample replay).
+    :param symmetric: let :meth:`key` fold states that differ only by
+        interchangeable cores (slave/row sorting).  Disable to index every
+        labelled state on its own.
     """
 
     def __init__(self, rows: int, cols: int, *,
@@ -213,35 +218,26 @@ class GLBarrierModel:
         self.tail_off = self.mv_off + MV
         self.size = self.tail_off + TAIL
 
-        # Every core's arrival and release register, masters then
-        # slaves, read in one call; and the blocks the canonical form
-        # sorts: each row's slave region and its slaves, then rows 1..R-1.
-        a_offs: List[int] = []
-        r_offs: List[int] = []
-        self._slave_regions: List[Tuple[slice, List[slice]]] = []
-        #: Each row's slave block offsets; every core's cooldown byte.
+        # Every core's arrival, release and cooldown byte by mesh core id
+        # (column 0 is the row master); and what the key sorts: each
+        # row's slave blocks, behind the row's fixed registers.
+        #: Each row's slave block offsets.
         self._slave_offs: List[List[int]] = []
-        self._cooldowns: List[int] = []
+        self._core_offs: List[Tuple[int, int, int]] = []
+        self._key_rows: List[Tuple[slice, List[slice]]] = []
         for r in range(rows):
             base = r * self.row_size
-            a_offs.append(base + MA)
-            r_offs.append(base + MR)
             sb = base + ROW_FIXED
-            blocks = [slice(sb + i * SLAVE, sb + (i + 1) * SLAVE)
-                      for i in range(self.num_slaves_h)]
-            self._slave_offs.append([blk.start for blk in blocks])
-            self._cooldowns += [base + MCD] + [blk.start + SL_CD
-                                               for blk in blocks]
-            a_offs += [blk.start + SL_A for blk in blocks]
-            r_offs += [blk.start + SL_R for blk in blocks]
-            if len(blocks) > 1:
-                self._slave_regions.append(
-                    (slice(sb, base + self.row_size), blocks))
-        self._arrivals = itemgetter(*a_offs)
-        self._releases = itemgetter(*r_offs)
-        self._row_region = slice(self.row_size, rows * self.row_size)
-        self._row_blocks = [slice(r * self.row_size, (r + 1) * self.row_size)
-                            for r in range(1, rows)]
+            self._slave_offs.append([sb + i * SLAVE
+                                     for i in range(self.num_slaves_h)])
+            self._core_offs.append((base + MA, base + MR, base + MCD))
+            self._core_offs += [(o + SL_A, o + SL_R, o + SL_CD)
+                                for o in self._slave_offs[-1]]
+            self._key_rows.append((slice(base, sb), [
+                slice(o, o + SLAVE) for o in self._slave_offs[-1]]))
+        self._arrivals = itemgetter(*[a for a, _, _ in self._core_offs])
+        self._releases = itemgetter(*[r for _, r, _ in self._core_offs])
+        self._cooldowns = [cd for _, _, cd in self._core_offs]
 
         # Static per-wire faults: role -> (stuck | None, count_delta).
         self._fault: Dict[Tuple[str, int], Tuple[Optional[int], int]] = {}
@@ -256,6 +252,9 @@ class GLBarrierModel:
             scenario.role in ("row_tx", "row_rel")
             and scenario.row >= 1) and not (
             scenario.glitch_role is not None and scenario.glitch_row >= 1)
+        #: Whether :meth:`key` has anything to sort.
+        self._keyed = symmetric and (self.num_slaves_h > 1
+                                     or self.sort_rows)
 
         #: The 4-cycle theorem is asserted only on healthy wires; the
         #: hardened validation stage legitimately costs one extra cycle,
@@ -297,20 +296,39 @@ class GLBarrierModel:
             s[t + T_PBL] = self.probation_barriers
         if self.glitch_armed:
             s[t + T_GL] = 1
-        return bytes(self._canon(s))
+        return bytes(s)
 
-    def _canon(self, s: bytearray) -> bytearray:
-        if not self.symmetric:
-            return s
-        for region, blocks in self._slave_regions:
-            s[region] = b"".join(sorted([s[blk] for blk in blocks]))
+    def key(self, state: bytes) -> bytes:
+        """The canonical form of *state*: each row's slave blocks sorted,
+        then rows 1..R-1 sorted when they are interchangeable.  States
+        with one key differ only by a relabelling of interchangeable
+        cores; without ``symmetric`` the key is the state itself."""
+        if not self._keyed:
+            return state
+        rows = self._sorted_slaves(state)
         if self.sort_rows:
-            s[self._row_region] = b"".join(
-                sorted([s[blk] for blk in self._row_blocks]))
-        return s
+            rows[1:] = sorted(rows[1:])
+        return b"".join(rows) + state[self.mv_off:]
+
+    def _sorted_slaves(self, state: bytes) -> List[bytes]:
+        """Each row's registers with its slave blocks sorted."""
+        return [state[fixed] + b"".join(sorted([state[b] for b in blocks]))
+                for fixed, blocks in self._key_rows]
+
+    def _key_order(self, state: bytes) -> List[int]:
+        """The rows of *state* in the order :meth:`key` lists them (tied
+        rows are identical up to their slaves' labels)."""
+        if not self.sort_rows:
+            return list(range(self.rows))
+        rows = self._sorted_slaves(state)
+        return [0] + sorted(range(1, self.rows), key=rows.__getitem__)
+
+    def releases(self, state: bytes) -> Tuple[int, ...]:
+        """How many releases each core has received, by mesh core id."""
+        return tuple(self._releases(state))
 
     def _waiting(self, s: Sequence[int]) -> List[bool]:
-        """Whether each core's bar_reg is set, masters then slaves."""
+        """Whether each core's bar_reg is set, by mesh core id."""
         return [a == r + 1 for a, r in zip(self._arrivals(s),
                                            self._releases(s))]
 
@@ -334,133 +352,81 @@ class GLBarrierModel:
         return a == r and a < self.episodes and cd == 0
 
     def actions(self, state: bytes) -> List[Action]:
-        """All arrival choices from *state*, in deterministic order.
+        """All arrival choices from *state*, one per symmetry class, in
+        deterministic order.
 
         Index 0 is always the empty (pure-tick) action; the last index
         delivers every eligible arrival at once.  Within a row, eligible
         slaves are grouped by their (identical) register block and the
-        action picks a *count* per group -- the symmetry-reduced form of
-        choosing subsets.
+        action picks a *count* per group, taken lowest core id first --
+        the symmetry-reduced form of choosing subsets.  Rows combine in
+        the order :meth:`key` lists them, so an action's index is the
+        same in every state of one key.
         """
-        per_row: List[List[RowAction]] = []
-        for r in range(self.rows):
-            base = r * self.row_size
-            m_elig = self._eligible(state[base + MA], state[base + MR],
-                                    state[base + MCD])
-            classes: Counter[bytes] = Counter()
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
+        per_row: List[List[Tuple[int, ...]]] = []
+        for r, slave_offs in enumerate(self._slave_offs):
+            first = r * self.cols
+            m_a, m_r, m_cd = self._core_offs[first]
+            masters: List[Tuple[int, ...]] = [()]
+            if self._eligible(state[m_a], state[m_r], state[m_cd]):
+                masters.append((first,))
+            classes: Dict[bytes, List[int]] = {}
+            for i, off in enumerate(slave_offs):
                 if self._eligible(state[off + SL_A], state[off + SL_R],
                                   state[off + SL_CD]):
-                    classes[state[off: off + SLAVE]] += 1
-            items = list(classes.items())
-            ranges = [range(n + 1) for _, n in items]
-            opts: List[RowAction] = []
-            for m in ((0, 1) if m_elig else (0,)):
-                for counts in product(*ranges):
-                    opts.append((m, tuple(
-                        (blk, c) for (blk, _), c in zip(items, counts)
-                        if c)))
-            per_row.append(opts)
-        acts = [tuple(combo) for combo in product(*per_row)]
+                    classes.setdefault(state[off: off + SLAVE],
+                                       []).append(first + 1 + i)
+            groups = [classes[blk] for blk in sorted(classes)]
+            picks = [tuple(chain.from_iterable(
+                         g[:n] for g, n in zip(groups, counts)))
+                     for counts in product(*[range(len(g) + 1)
+                                             for g in groups])]
+            per_row.append([m + p for m in masters for p in picks])
+        acts: List[Action] = [
+            (tuple(sorted(chain.from_iterable(combo))), False)
+            for combo in product(*[per_row[r]
+                                   for r in self._key_order(state)])]
         if state[self.tail_off + T_GL]:
             # The one-shot glitch may fire alongside any arrival choice;
             # un-glitched variants come first so the last action stays
             # the maximal one (arrivals + glitch = ``max_action``).
-            acts = acts + [a + (GLITCH,) for a in acts]
+            acts += [(cores, True) for cores, _ in acts]
         return acts
 
     def max_action(self, state: bytes) -> Action:
         """The action delivering every eligible arrival (equals the last
         entry of :meth:`actions`, built without full enumeration)."""
-        out: List[RowAction] = []
-        for r in range(self.rows):
-            base = r * self.row_size
-            m = 1 if self._eligible(state[base + MA], state[base + MR],
-                                    state[base + MCD]) else 0
-            classes: Counter[bytes] = Counter()
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
-                if self._eligible(state[off + SL_A], state[off + SL_R],
-                                  state[off + SL_CD]):
-                    classes[state[off: off + SLAVE]] += 1
-            out.append((m, tuple(classes.items())))
-        act = tuple(out)
-        if state[self.tail_off + T_GL]:
-            act = act + (GLITCH,)
-        return act
+        return (tuple(cid for cid, (a, r, cd) in enumerate(self._core_offs)
+                      if self._eligible(state[a], state[r], state[cd])),
+                bool(state[self.tail_off + T_GL]))
 
     # ------------------------------------------------------------------ #
     # One transition
     # ------------------------------------------------------------------ #
     def step(self, state: bytes, action: Action) -> bytes:
-        """Apply *action*'s arrivals, then run one network tick.
+        """Deliver *action*'s arrivals, then run one network tick.
 
-        Raises :class:`PropertyViolation` when the transition breaks
-        safety, exactly-once delivery or the completion bound.
+        Raises :class:`ValueError` when *state* does not admit the action
+        (a core outside the mesh, a core not eligible to arrive, a glitch
+        not armed) and :class:`PropertyViolation` when the transition
+        breaks safety, exactly-once delivery or the completion bound.
         """
-        glitch = len(action) > 0 and action[-1] == GLITCH
-        if glitch:
-            if not state[self.tail_off + T_GL]:
-                raise ValueError("glitch fired but not armed")
-            action = action[:-1]
-        s = bytearray(state)
-        self._apply_arrivals(s, action)
-        if glitch:
-            s[self.tail_off + T_GL] = 0
-        return bytes(self._canon(self._advance(s, glitch)))
-
-    def step_cores(self, state: bytes, cores: Iterable[int],
-                   glitch: bool = False) -> bytes:
-        """Concrete-identity variant: arrivals named by mesh core id
-        (``row * cols + col``).  Used with ``symmetric=False`` for
-        counterexample replay and trace lifting."""
-        if glitch and not state[self.tail_off + T_GL]:
+        cores, glitch = action
+        t = self.tail_off
+        if glitch and not state[t + T_GL]:
             raise ValueError("glitch fired but not armed")
         s = bytearray(state)
-        for cid in sorted(set(cores)):
-            r, c = divmod(cid, self.cols)
-            if not 0 <= r < self.rows:
+        for cid in cores:
+            if not 0 <= cid < self.num_cores:
                 raise ValueError(f"core {cid} outside the mesh")
-            base = r * self.row_size
-            off = base + MA if c == 0 \
-                else base + ROW_FIXED + (c - 1) * SLAVE + SL_A
-            cd = base + MCD if c == 0 \
-                else base + ROW_FIXED + (c - 1) * SLAVE + SL_CD
-            rel = base + MR if c == 0 \
-                else base + ROW_FIXED + (c - 1) * SLAVE + SL_R
-            if not self._eligible(s[off], s[rel], s[cd]):
+            a, r, cd = self._core_offs[cid]
+            if not self._eligible(s[a], s[r], s[cd]):
                 raise ValueError(f"core {cid} is not eligible to arrive")
-            s[off] += 1
+            s[a] += 1
         self._post_arrival(s)
         if glitch:
-            s[self.tail_off + T_GL] = 0
-        return bytes(self._canon(self._advance(s, glitch)))
-
-    # -- arrival phase ------------------------------------------------- #
-    def _apply_arrivals(self, s: bytearray, action: Action) -> None:
-        if len(action) != self.rows:
-            raise ValueError("action must have one entry per row")
-        for r, (m_arr, slave_choices) in enumerate(action):
-            base = r * self.row_size
-            if m_arr:
-                s[base + MA] += 1
-            for blk, count in slave_choices:
-                remaining = count
-                for off in self._slave_offs[r]:
-                    if remaining == 0:
-                        break
-                    if s[off: off + SLAVE] == blk \
-                            and s[off + SL_A] == s[off + SL_R]:
-                        s[off + SL_A] += 1
-                        remaining -= 1
-                if remaining:
-                    raise ValueError(
-                        f"action asks for {count} slaves of class "
-                        f"{blk.hex()} in row {r}; not that many eligible")
-        self._post_arrival(s)
+            s[t + T_GL] = 0
+        return bytes(self._advance(s, glitch))
 
     def _post_arrival(self, s: bytearray) -> None:
         """Arm the all-arrived watchdog exactly when the arrival that set

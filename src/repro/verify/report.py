@@ -95,8 +95,6 @@ def render_counterexample(model: GLBarrierModel,
         what = ("cores " + ", ".join(map(str, cores)) + " arrive"
                 if cores else "(no arrivals; network ticks)")
         lines.append(f"  cycle {t}: {what}")
-    if path.violating:
-        lines.append(f"concrete model confirms: {path.message}")
     return "\n".join(lines)
 
 

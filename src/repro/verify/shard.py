@@ -140,12 +140,16 @@ class VerifyShardSpec:
 def shard_prefixes(model: GLBarrierModel, depth: int
                    ) -> Tuple[List[Tuple[int, ...]],
                               Optional[Counterexample]]:
-    """Distinct depth-*depth* action prefixes (deduplicated by reached
-    canonical state), or a counterexample if one surfaces that shallow."""
-    frontier: Dict[bytes, Tuple[int, ...]] = {model.initial(): ()}
+    """Distinct depth-*depth* action prefixes (deduplicated by the key
+    of the reached state), or a counterexample if one surfaces that
+    shallow."""
+    init = model.initial()
+    #: key -> (the first state reached with it, its prefix).
+    frontier: Dict[bytes, Tuple[bytes, Tuple[int, ...]]] = {
+        model.key(init): (init, ())}
     for _ in range(depth):
-        nxt: Dict[bytes, Tuple[int, ...]] = {}
-        for state, prefix in frontier.items():
+        nxt: Dict[bytes, Tuple[bytes, Tuple[int, ...]]] = {}
+        for key, (state, prefix) in frontier.items():
             for ai, act in enumerate(model.actions(state)):
                 try:
                     child = model.step(state, act)
@@ -153,15 +157,16 @@ def shard_prefixes(model: GLBarrierModel, depth: int
                     return [], Counterexample(
                         prop=exc.prop, message=exc.message,
                         action_indices=list(prefix) + [ai])
-                if child == state:
+                child_key = model.key(child)
+                if child_key == key:
                     # Keep stutter roots: the subtree below them is the
                     # same, and dropping a root would lose coverage when
                     # the state has no other representative.
-                    nxt.setdefault(state, prefix)
+                    nxt.setdefault(key, (state, prefix))
                     continue
-                nxt.setdefault(child, prefix + (ai,))
+                nxt.setdefault(child_key, (child, prefix + (ai,)))
         frontier = nxt
-    return sorted(frontier.values()), None
+    return sorted(prefix for _, prefix in frontier.values()), None
 
 
 def merge_shards(results: Sequence[VerifyShardResult],

@@ -1,11 +1,10 @@
-"""Ring-buffer tracer tests: wraparound, accounting, filters, aliases."""
+"""Ring-buffer tracer tests: wraparound, accounting, filters."""
 
 import pytest
 
 from repro.obs import (
     DEFAULT_CAPACITY,
     NULL_TRACER,
-    ListTracer,
     RingTracer,
     TraceEvent,
 )
@@ -92,29 +91,12 @@ def test_event_str_and_dict():
     assert str(e).startswith("@7 glnet gline.arrive")
 
 
-# ---------------------------------------------------------------------- #
-# ListTracer compatibility alias (the old unbounded tracer, now capped)
-# ---------------------------------------------------------------------- #
 def test_list_tracer_is_bounded_by_default():
-    tr = ListTracer()
-    assert isinstance(tr, RingTracer)
+    """A default tracer cannot grow without bound on a long run."""
+    tr = RingTracer()
     fill(tr, DEFAULT_CAPACITY + 5)
     assert len(tr) == DEFAULT_CAPACITY
     assert tr.dropped == 5
-
-
-def test_list_tracer_opt_out_unbounded():
-    tr = ListTracer(capacity=None)
-    fill(tr, DEFAULT_CAPACITY + 5)
-    assert len(tr) == DEFAULT_CAPACITY + 5
-
-
-def test_list_tracer_keyword_compat():
-    # Old call shape: ListTracer(kinds={...}) as first positional arg.
-    tr = ListTracer({"load"})
-    tr.emit(1, "a", "load")
-    tr.emit(2, "a", "store")
-    assert [e.kind for e in tr.events] == ["load"]
 
 
 def test_null_tracer_disabled_and_silent():

@@ -25,12 +25,11 @@ from repro.collectives.controllers import M_ROUNDS
 from repro.common.errors import ConfigError
 from repro.verify import (COLLECTIVE_PROPERTIES, NOT_PROVED, PROVED,
                           VIOLATED, CollectiveModel, P_COLL_TERMINATION,
-                          explore_collective)
+                          PropertyViolation, explore_collective)
 from repro.verify import collectives
 from repro.verify.collectives import (INJ_BASE, TICK,
                                       CollectiveCounterexample,
-                                      CollectiveExploreResult, _Violation,
-                                      inj_decode)
+                                      CollectiveExploreResult, inj_decode)
 
 from .test_collectives_model import CENSUS, MUTATION_CASES
 
@@ -116,7 +115,7 @@ def reference_explore(model, *, max_states=500_000, max_ticks=0):
                 return None
             try:
                 nxt = model.step(state, TICK)
-            except _Violation as v:
+            except PropertyViolation as v:
                 return fail(v.prop, v.message, actions + [TICK])
             actions = actions + [TICK]
             result.transitions += 1
@@ -139,7 +138,7 @@ def reference_explore(model, *, max_states=500_000, max_ticks=0):
         for action in model.actions(state):
             try:
                 child = model.step(state, action)
-            except _Violation as v:
+            except PropertyViolation as v:
                 return fail(v.prop, v.message, path_to(skey) + [action])
             result.transitions += 1
             ckey = model.key(child)

@@ -51,6 +51,35 @@ def test_mutation_counterexample_confirms_on_simulator(mutation):
     assert 0 <= core < 4 and cycle <= len(conc.schedules) + 8
 
 
+@pytest.mark.parametrize("shape,scenario,mutation,census", [
+    pytest.param((3, 3), "fault-free", "mv-early-done", (204, 3984),
+                 id="3x3-mv-early-done"),
+    pytest.param((3, 4), "fault-free", "mh-early-flag", (567, 20137),
+                 id="3x4-mh-early-flag"),
+    pytest.param((3, 3), "miscount-row-tx-unhardened", None, (443, 10707),
+                 id="3x3-miscount-row-tx-unhardened"),
+])
+def test_three_row_counterexample_confirms_on_simulator(shape, scenario,
+                                                        mutation, census):
+    """On three or more rows the key also sorts rows 1..R-1, so the
+    concrete schedule must name the cores of the rows the path really
+    drove, not of their canonical positions."""
+    rows, cols = shape
+    scenario = get_scenario(scenario)
+    model = GLBarrierModel(rows, cols, scenario=scenario,
+                           mutation=mutation)
+    result = explore(model)
+    assert (result.states, result.transitions) == census
+    assert result.violation is not None
+    assert result.violation.prop == "safety"
+    conc = concretize(model, result.violation.action_indices)
+    assert conc.prop == result.violation.prop
+    replay = replay_on_simulator(rows, cols, conc.schedules,
+                                 scenario=scenario, mutation=mutation,
+                                 glitches=conc.glitches)
+    assert replay.confirmed, replay.summary()
+
+
 def test_safe_schedule_does_not_confirm():
     """Concretizing a non-violating path replays without early release
     -- the detector itself does not cry wolf."""

@@ -16,35 +16,28 @@ from repro.common.stats import StatsRegistry
 from repro.gline.network import GLineBarrierNetwork
 from repro.sim.engine import Engine
 from repro.verify import GLBarrierModel, PropertyViolation, get_scenario
-from repro.verify.model import MR, ROW_FIXED, SL_R, SLAVE
 
 mesh_shapes = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(
     lambda rc: rc[0] * rc[1] >= 2)
 
 
+def arrive(model, state, cores=()):
+    """One model step in which *cores* (mesh core ids) arrive."""
+    return model.step(state, (tuple(cores), False))
+
+
 def model_release_cycles(model, schedules):
-    """Run the concrete model; map core id -> list of release steps."""
+    """Run the model; map core id -> list of release steps."""
     state = model.initial()
     out = {c: [] for c in range(model.rows * model.cols)}
-
-    def releases_of(s):
-        regs = {}
-        for r in range(model.rows):
-            base = r * model.row_size
-            regs[r * model.cols] = s[base + MR]
-            for i in range(model.num_slaves_h):
-                off = base + ROW_FIXED + i * SLAVE
-                regs[r * model.cols + i + 1] = s[off + SL_R]
-        return regs
-
     horizon = len(schedules) + 64
     for t in range(horizon):
-        before = releases_of(state)
-        cores = schedules[t] if t < len(schedules) else []
-        state = model.step_cores(state, cores)
-        after = releases_of(state)
-        for c, n in after.items():
-            if n > before[c]:
+        before = model.releases(state)
+        state = arrive(model, state,
+                       schedules[t] if t < len(schedules) else ())
+        for c, (n_before, n) in enumerate(zip(before,
+                                              model.releases(state))):
+            if n > n_before:
                 out[c].append(t)
         if model.is_complete(state) and t >= len(schedules):
             break
@@ -90,8 +83,7 @@ def test_model_matches_network_on_random_schedules(shape, data):
             schedules[at].append(cid)
         offset = last + 10   # > completion bound + cooldown
 
-    model = GLBarrierModel(rows, cols, episodes=episodes,
-                           symmetric=False)
+    model = GLBarrierModel(rows, cols, episodes=episodes)
     got_model = model_release_cycles(model, schedules)
     got_net = network_release_cycles(rows, cols, schedules, episodes)
 
@@ -107,12 +99,11 @@ def test_model_matches_network_on_random_schedules(shape, data):
 def test_completion_latency_pinned(shape, expected):
     """All-at-once arrival completes in exactly the paper's latency."""
     rows, cols = shape
-    model = GLBarrierModel(rows, cols, symmetric=False)
-    state = model.initial()
-    state = model.step_cores(state, range(rows * cols))
+    model = GLBarrierModel(rows, cols)
+    state = arrive(model, model.initial(), range(rows * cols))
     ticks = 1
     while not model.is_complete(state):
-        state = model.step_cores(state, [])
+        state = arrive(model, state)
         ticks += 1
         assert ticks < 32, "model failed to complete"
     assert ticks == expected
@@ -121,12 +112,11 @@ def test_completion_latency_pinned(shape, expected):
 
 def test_hardened_adds_one_validation_cycle():
     model = GLBarrierModel(
-        2, 2, scenario=get_scenario("fault-free-hardened"),
-        symmetric=False)
-    state = model.step_cores(model.initial(), range(4))
+        2, 2, scenario=get_scenario("fault-free-hardened"))
+    state = arrive(model, model.initial(), range(4))
     ticks = 1
     while not model.is_complete(state):
-        state = model.step_cores(state, [])
+        state = arrive(model, state)
         ticks += 1
     assert ticks == 5 == model.completion_bound
 
@@ -149,26 +139,46 @@ def test_actions_structure():
     """Action 0 is the empty tick; the last action is maximal."""
     model = GLBarrierModel(2, 3)
     acts = model.actions(model.initial())
-    assert acts[0] == ((0, ()), (0, ()))
-    assert acts[-1] == model.max_action(model.initial())
+    assert acts[0] == ((), False)
+    assert acts[-1] == model.max_action(model.initial()) \
+        == (tuple(range(6)), False)
     # 2 rows x (master in {0,1} x slave count in {0,1,2}) = 6*6 options.
     assert len(acts) == 36
 
 
+def test_actions_are_alike_in_states_of_one_key():
+    """Two states that differ only in which interchangeable cores have
+    arrived share a key, and each action index leads both to one key."""
+    model = GLBarrierModel(3, 3)
+    a = arrive(model, model.initial(), [3, 4])   # row 1: master, slave
+    b = arrive(model, model.initial(), [8, 6])   # row 2: slave, master
+    assert a != b and model.key(a) == model.key(b)
+    acts_a, acts_b = model.actions(a), model.actions(b)
+    assert len(acts_a) == len(acts_b)
+    for act_a, act_b in zip(acts_a, acts_b):
+        assert model.key(model.step(a, act_a)) \
+            == model.key(model.step(b, act_b))
+
+
 def test_step_cores_rejects_double_arrival():
-    model = GLBarrierModel(2, 2, symmetric=False)
-    state = model.step_cores(model.initial(), [0])
-    with pytest.raises(ValueError):
-        model.step_cores(state, [0])    # already waiting
+    """Actions from outside the model (lifted traces) are checked: a
+    waiting core cannot arrive again, and a core must be on the mesh."""
+    model = GLBarrierModel(2, 2)
+    state = arrive(model, model.initial(), [0])
+    with pytest.raises(ValueError, match="not eligible"):
+        arrive(model, state, [0])       # already waiting
+    with pytest.raises(ValueError, match="outside the mesh"):
+        arrive(model, state, [4])
+    with pytest.raises(ValueError, match="not armed"):
+        model.step(state, ((), True))
 
 
 def test_violation_is_exception_with_property():
-    model = GLBarrierModel(2, 2, mutation="mh-early-flag",
-                           symmetric=False)
+    model = GLBarrierModel(2, 2, mutation="mh-early-flag")
     # Both masters arrive; the mutated rows flag with zero slave signals
     # and the column stage releases cores 1 and 3 never arrived at.
-    state = model.step_cores(model.initial(), [0, 2])
+    state = arrive(model, model.initial(), [0, 2])
     with pytest.raises(PropertyViolation) as exc_info:
         for _ in range(8):
-            state = model.step_cores(state, [])
+            state = arrive(model, state)
     assert exc_info.value.prop == "safety"

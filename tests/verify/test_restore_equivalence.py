@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from repro.collectives import ops
 from repro.collectives.fabric import CollectiveFabric
 from repro.gline.integrity import INTEGRITY_MODES
-from repro.verify import CollectiveModel
-from repro.verify.collectives import INJ_BASE, _Violation, inj_decode
+from repro.verify import CollectiveModel, PropertyViolation
+from repro.verify.collectives import INJ_BASE, inj_decode
 
 
 class RowMastersOnlyFabric(CollectiveFabric):
@@ -107,7 +107,7 @@ def compare(cls, walk):
             continue
         try:
             state = model.step(state, action)
-        except _Violation:
+        except PropertyViolation:
             continue
         states.append(state)
 
