@@ -361,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         rc = 1
     # The summary goes to stderr so stdout (the figure data) is
     # byte-identical whether results were simulated or served from cache.
-    if cache is not None:
+    # A command that ran no spec through the executor prints none.
+    if cache is not None and executor.hits + executor.misses:
         print(f"[repro.exec] {executor.summary()}", file=sys.stderr)
     if interrupted or rc == 1:
         if journal_path is not None:
@@ -748,11 +749,10 @@ def _run_verify(args) -> int:
     replay = None
     conc_path = None
     if result.violation is not None:
+        conc_path = v.concretize(model, result.violation.action_indices)
         print()
-        print(v.render_counterexample(model, result.violation))
+        print(v.render_counterexample(result.violation, conc_path))
         if not args.no_replay:
-            conc_path = v.concretize(model,
-                                     result.violation.action_indices)
             replay = v.replay_on_simulator(
                 rows, cols, conc_path.schedules, scenario=scenario,
                 mutation=args.mutation, glitches=conc_path.glitches)

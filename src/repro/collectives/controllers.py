@@ -108,18 +108,7 @@ class StageSlave:
         self.strong_bit = 0
         self.bw = 1
         self.integ = "off"
-        # Mutable FSM state.
-        self.state = S_IDLE
-        self.value = 0
-        self.competing = False
-        self.pulses = 0
-        self.round = 0
-        self.reflect = False
-        self.cur_bit = 0
-        self.bc_idx = 0
-        self.result = 0
-        self.confirming = False
-        self.iphase = 0
+        self.reset()
 
     # ------------------------------------------------------------------ #
     def configure(self, mechanism: str, in_width: int, strong_bit: int,
@@ -354,33 +343,7 @@ class StageMaster:
         #: The barrier: an overcount is a fault; the first column's master.
         self.hardened = False
         self.column = False
-        # Mutable FSM state.
-        self.state = M_GATHER
-        self.own = 0
-        self.own_set = False
-        self.arrived = 0
-        self.acc = 0
-        self.round = 0
-        self.cur_bit = 0
-        self.own_competing = False
-        self.pending_reflect = -1
-        self.result = 0
-        self.bc_value = 0
-        self.bc_idx = 0
-        self.drove_rel = False
-        self.fault_suspected = False
-        self.confirming = False
-        self.iphase = 0
-        self.int_samples: list[int] = []
-        self.int_accept = False
-        self.int_value = 0
-        self.int_retries = 0
-        self.int_faults = 0
-        self.int_corrected = 0
-        self.int_exhausted = False
-        self.racc = 0
-        #: The barrier column's count-stability tick is under way.
-        self.validating = False
+        self.reset()
 
     # ------------------------------------------------------------------ #
     def configure(self, mechanism: str, in_width: int, strong_bit: int,
@@ -444,7 +407,7 @@ class StageMaster:
         self.fault_suspected = False
         self.confirming = False
         self.iphase = 0
-        self.int_samples = []
+        self.int_samples: list[int] = []
         self.int_accept = False
         self.int_value = 0
         self.int_retries = 0
@@ -452,6 +415,7 @@ class StageMaster:
         self.int_corrected = 0
         self.int_exhausted = False
         self.racc = 0
+        #: The barrier column's count-stability tick is under way.
         self.validating = False
 
     # ------------------------------------------------------------------ #

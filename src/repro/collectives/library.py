@@ -9,8 +9,9 @@ Two implementations share the interface:
   quarantines a network the episode completes over the software
   fallback instead, with the same one-cohort guarantee as the barrier
   (a collective episode is never split between hardware and software).
-  Without a fallback the entry overhead is folded into the arrival as
-  its delay, as :class:`~repro.gline.barrier.GLBarrier` does.
+  It is the barrier's :class:`~repro.gline.barrier.GLineLibrary`, which
+  also folds the entry overhead into the arrival as its delay when
+  there is no fallback.
 * :class:`SoftwareAllReduce` -- the NoC baseline and failover target: a
   centralized sense-reversing all-reduce where every core folds its
   operand into a shared accumulator with one atomic, the last arriver
@@ -23,10 +24,9 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..common.errors import ConfigError, GLineError
+from ..common.errors import ConfigError
 from ..cpu import isa
-from ..cpu.core import HWCollectiveArrive
-from ..faults import FAILOVER
+from ..gline.barrier import GLineLibrary
 from ..mem.address import Allocator
 from . import ops
 
@@ -112,58 +112,15 @@ class SoftwareAllReduce(CollectiveImpl):
                 f"{len(self.contexts)} context(s))")
 
 
-class GLCollective(CollectiveImpl):
+class GLCollective(GLineLibrary, CollectiveImpl):
     """Hardware G-line collective bound to one or more network contexts."""
 
     name = "GL-coll"
-
-    def __init__(self, networks, entry_overhead: int = 0,
-                 fallback: SoftwareAllReduce | None = None):
-        if not networks:
-            raise ConfigError(
-                "GLCollective needs at least one network context")
-        self.networks = list(networks)
-        self.entry_overhead = entry_overhead
-        self.fallback = fallback
-        #: Cores of the current episode already committed to software,
-        #: per context (same cohort-alignment argument as GLBarrier).
-        self._sw_cohort: dict[int, int] = {}
+    word = "collective"
+    title = "G-line collective engine"
+    sw_counter = "faults.failover.sw_collectives"
 
     def sequence(self, core, op: isa.CollectiveOp) -> Generator:
-        if not (0 <= op.ident < len(self.networks)):
-            raise ConfigError(
-                f"collective context {op.ident} not provisioned "
-                f"(have {len(self.networks)})")
-        net = self.networks[op.ident]
-        if self.fallback is None:
-            outcome = yield HWCollectiveArrive(net, op.kind, op.value,
-                                               self.entry_overhead)
-            if outcome == FAILOVER:
-                raise GLineError(
-                    f"collective context {op.ident} failed over but no "
-                    f"software fallback is configured")
-            return outcome
-        if self.entry_overhead:
-            yield isa.Compute(self.entry_overhead)
-        if self._sw_cohort.get(op.ident, 0) or net.quarantined:
-            return (yield from self._join_software(core, op, net))
-        outcome = yield HWCollectiveArrive(net, op.kind, op.value)
-        if outcome == FAILOVER:
-            outcome = yield from self._join_software(core, op, net)
-        return outcome
-
-    def _join_software(self, core, op: isa.CollectiveOp, net) -> Generator:
-        core.stats.bump("faults.failover.sw_collectives")
-        joined = self._sw_cohort.get(op.ident, 0) + 1
-        self._sw_cohort[op.ident] = \
-            0 if joined >= net.num_cores else joined
-        return (yield from self.fallback.sequence(core, op))
-
-    def describe(self) -> str:
-        wires = self.networks[0].num_glines
-        desc = (f"G-line collective engine ({len(self.networks)} "
-                f"context(s), {wires} G-lines per context, entry "
-                f"overhead {self.entry_overhead} cycles)")
-        if self.fallback is not None:
-            desc += f" with {self.fallback.name} watchdog failover"
-        return desc
+        # col_reg carries (kind, value); the fallback all-reduces the
+        # same op in software.
+        return self._episode(core, op.ident, (op.kind, op.value), op)

@@ -1,6 +1,6 @@
 """Core model and operation ISA."""
 
-from .core import Core, HWBarrierArrive
+from .core import Core, HWArrive
 from .isa import (
     AcquireLock,
     AtomicRMW,
@@ -16,7 +16,7 @@ from .isa import (
 )
 
 __all__ = [
-    "Core", "HWBarrierArrive",
+    "Core", "HWArrive",
     "AcquireLock", "AtomicRMW", "BarrierOp", "Compute", "FetchAdd", "Load",
     "ReleaseLock", "SpinUntil", "Store", "Swap", "TestAndSet",
 ]

@@ -282,37 +282,22 @@ class Core(Component):
                          phase)
         self.schedule(0, self._advance, None)
 
-    # Hardware arrivals: the core sleeps until the fabric resumes it
-    # through the bound method ``_hw_resume``, and keeps the issue cycle.
-    # An arrival's *delay* is library entry overhead folded into it (see
-    # GLBarrier.sequence): charged to the barrier phase at issue, and the
-    # register write lands that much later.
-    def _exec_hw_arrive(self, op: "HWBarrierArrive", t0: int) -> None:
-        # Yielded by the G-line barrier's library sequence: write
-        # bar_reg, then sleep until the controllers reset it.  The
-        # optional *outcome* (repro.faults.FAILOVER) is delivered back
-        # into the library sequence so it can complete in software.
-        self._issue_hw(t0, op.delay)
-        op.barrier.arrive(self.cid, self._hw_resume, op.delay)
-
-    def _exec_hw_coll_arrive(self, op: "HWCollectiveArrive",
-                             t0: int) -> None:
-        # Yielded by the G-line collective library: write (kind, value)
-        # to col_reg, sleep until the fabric delivers the result (or the
-        # FAILOVER outcome).
-        self._issue_hw(t0, op.delay)
-        op.net.arrive(self.cid, op.kind, op.value, self._hw_resume,
-                      op.delay)
-
-    def _issue_hw(self, t0: int, delay: int) -> None:
+    # A hardware arrival: write the core's sync register, then sleep
+    # until the fabric resumes it through the bound method
+    # ``_hw_resume``, keeping the issue cycle.  The op's *delay* is
+    # library entry overhead folded into it (see GLineLibrary): charged
+    # to the barrier phase at issue, and the write lands that much later.
+    def _exec_hw_arrive(self, op: "HWArrive", t0: int) -> None:
+        delay = op.delay
         if delay:
             self.stats.add_cycles(self.cid,
                                   self._current_cat(CycleCat.BARRIER),
                                   delay)
         self._issued = t0 + delay
+        op.net.arrive(self.cid, *op.operands, self._hw_resume, delay)
 
     def _hw_resume(self, outcome=None) -> None:
-        """Hardware barrier released (or failed over) this core."""
+        """The G-line network released (or failed over) this core."""
         self._attr(self._issued, CycleCat.BARRIER)
         if self.tracer.enabled or self.flight is not None:
             self._note_barrier(
@@ -359,38 +344,21 @@ def _as_generator(program) -> Generator:
     return _wrap()
 
 
-class HWCollectiveArrive:
-    """Internal operation yielded by the G-line collective library.
-
-    Not part of the public ISA: workloads yield :class:`repro.cpu.isa.
-    CollectiveOp` and the bound implementation expands to this when the
-    hardware collective engine is selected.  The yield returns the
-    collective's result (or ``FAILOVER``).  *delay* is entry overhead
-    folded into the arrival.
+class HWArrive:
+    """Internal operation the G-line library
+    (:class:`repro.gline.barrier.GLineLibrary`) expands a ``BarrierOp``
+    or ``CollectiveOp`` to; not part of the public ISA.  *operands* are
+    what the register write carries: none for bar_reg, ``(kind,
+    value)`` for col_reg.  The yield returns what the network resumes
+    the core with (None for a barrier, a collective's result, or
+    ``FAILOVER``).  *delay* is entry overhead folded into the arrival.
     """
 
-    __slots__ = ("net", "kind", "value", "delay")
+    __slots__ = ("net", "operands", "delay")
 
-    def __init__(self, net, kind: str, value: int, delay: int = 0):
+    def __init__(self, net, operands: tuple, delay: int = 0):
         self.net = net
-        self.kind = kind
-        self.value = value
-        self.delay = delay
-
-
-class HWBarrierArrive:
-    """Internal operation yielded by the G-line barrier library sequence.
-
-    Not part of the public ISA: workloads yield :class:`repro.cpu.isa.
-    BarrierOp` and the bound implementation expands to this when the
-    hardware barrier is selected.  *delay* is entry overhead folded into
-    the arrival.
-    """
-
-    __slots__ = ("barrier", "delay")
-
-    def __init__(self, barrier, delay: int = 0):
-        self.barrier = barrier
+        self.operands = operands
         self.delay = delay
 
 
@@ -406,6 +374,5 @@ _DISPATCH: dict[type, Callable] = {
     isa.CollectiveOp: Core._exec_collective,
     isa.AcquireLock: Core._exec_acquire,
     isa.ReleaseLock: Core._exec_release,
-    HWBarrierArrive: Core._exec_hw_arrive,
-    HWCollectiveArrive: Core._exec_hw_coll_arrive,
+    HWArrive: Core._exec_hw_arrive,
 }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .conformance import ConcretePath, ReplayResult, concretize
+from .conformance import ConcretePath, ReplayResult
 from .explore import (ALL_PROPERTIES, Counterexample, ExploreResult,
                       PROVED, SKIPPED)
 from .model import GLBarrierModel
@@ -84,10 +84,9 @@ def expectation_verdict(scenario: FaultScenario,
     return False, "a property failed that the scenario expects to hold"
 
 
-def render_counterexample(model: GLBarrierModel,
-                          cex: Counterexample) -> str:
-    """Humanize a counterexample as a per-cycle schedule of core ids."""
-    path = concretize(model, cex.action_indices)
+def render_counterexample(cex: Counterexample, path: ConcretePath) -> str:
+    """Humanize a counterexample as a per-cycle schedule of core ids;
+    *path* is its concrete walk (``concretize``)."""
     lines = [f"violated property: {cex.prop}",
              f"  {cex.message}",
              "concrete schedule (core id = row * cols + col):"]

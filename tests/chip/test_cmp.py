@@ -75,7 +75,7 @@ def test_deadlock_detection_mismatched_barriers():
     # was executing (here: stuck inside the hardware barrier arrival).
     msg = str(exc.value)
     assert "deadlocked at cycle" in msg
-    assert "HWBarrierArrive" in msg
+    assert "HWArrive" in msg
     assert "core 3" not in msg          # the skipping core finished fine
 
 

@@ -63,7 +63,16 @@ def test_sharded_run_agrees_with_direct(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "shard(s) at depth 2" in captured.err
+    assert "cache hits" in captured.err
     assert captured.out.count(": PROVED") == 4
+
+
+def test_unsharded_run_prints_no_executor_summary(tmp_path, capsys):
+    """Only ``--shard-depth`` runs go through the executor; a direct
+    exploration prints no cache summary for it."""
+    rc = main(["verify", "--mesh", "2x2", "--cache-dir", str(tmp_path)])
+    assert rc == 0
+    assert "[repro.exec]" not in capsys.readouterr().err
 
 
 def test_capped_exploration_fails_the_expectation(capsys):
